@@ -6,7 +6,7 @@
 //! faulty simulations, this crate *derives* a pessimistic architectural
 //! bound from the compiled text section alone:
 //!
-//! 1. [`cfg`] recovers per-function control-flow graphs from the raw
+//! 1. [`mod@cfg`] recovers per-function control-flow graphs from the raw
 //!    encoded words (no execution, no symbols beyond the compiler's
 //!    function table), including loop nesting from back-edge detection.
 //! 2. [`liveness`] runs a width-aware backward liveness fixed point and a

@@ -17,9 +17,9 @@ use std::time::Instant;
 use vulnstack_bench::{figure_header, master_seed, prepare_or_die, sub_seed};
 use vulnstack_core::report::Table;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_gefin::{avf_campaign_planned, default_faults, default_threads, InjectionPlan};
+use vulnstack_gefin::{avf_campaign_models, default_faults, default_threads, InjectionPlan};
 use vulnstack_microarch::ooo::HwStructure;
-use vulnstack_microarch::CoreModel;
+use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::WorkloadId;
 
 fn main() {
@@ -50,10 +50,11 @@ fn main() {
     );
 
     let full_t = Instant::now();
-    let (full, _) = avf_campaign_planned(
+    let (full, _) = avf_campaign_models(
         &prep,
         structure,
         &InjectionPlan::Sampled { n, seed },
+        &[FaultModel::BitFlip],
         threads,
         None,
     );
@@ -65,10 +66,11 @@ fn main() {
     // so the speedup is the honest end-to-end figure.
     let metrics = CampaignMetrics::new(&format!("{id}/{model}/{} pruned n={n}", structure.name()));
     let pruned_t = Instant::now();
-    let (pruned, stats) = avf_campaign_planned(
+    let (pruned, stats) = avf_campaign_models(
         &prep,
         structure,
         &InjectionPlan::Pruned { n, seed },
+        &[FaultModel::BitFlip],
         threads,
         Some(&metrics),
     );

@@ -26,6 +26,7 @@
 //! assert!((t.vf().total() - 0.5).abs() < 1e-9);
 //! ```
 
+pub mod campaign;
 pub mod effects;
 pub mod fair;
 pub mod journal;
@@ -43,10 +44,8 @@ pub use fair::{FairPool, Participant};
 // The runtime fault model lives beside the core it corrupts; re-exported
 // here so software-level engines (llfi) share one type without a direct
 // microarch dependency in their own code.
-pub use journal::{
-    Fingerprint, Journal, JournalError, JournalOpts, ResumableCampaign, ResumeMode, ResumeStats,
-    ResumedCampaign, StreamedCampaign,
-};
+pub use campaign::{Campaign, CampaignJournal, StreamedCampaign};
+pub use journal::{Fingerprint, Journal, JournalError, JournalOpts, ResumeMode, ResumeStats};
 pub use memquota::{MemQuota, Participation, ShedReport};
 pub use sched::{Admission, ClaimGate, Quarantine, RunPolicy, SiteResult};
 pub use sink::{RecordHandle, RecordTee, SinkHandle, SinkSummary, StreamOpts};

@@ -24,12 +24,13 @@
 //! while the returned records stay in sampling order.
 
 //!
-//! [`map_ordered_resilient`] adds **fault domains** around the fault
+//! [`drive_ordered_resilient`] adds **fault domains** around the fault
 //! injector itself: each site runs under `catch_unwind` with bounded
 //! retry, a panicking site degrades to a [`SiteResult::Quarantined`]
-//! record instead of killing the campaign, and a worker whose claim loop
-//! dies outside the per-site isolation is respawned so the queue always
-//! drains.
+//! outcome instead of killing the campaign, and a worker whose claim
+//! loop dies outside the per-site isolation is respawned so the queue
+//! always drains. It is the substrate of every campaign run
+//! (`crate::campaign`), journaled or not.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -174,7 +175,7 @@ where
 }
 
 /// Retry policy for panic-isolated campaign execution
-/// ([`map_ordered_resilient`]).
+/// ([`drive_ordered_resilient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
     /// How many times a panicking site is re-run before it is
@@ -213,44 +214,6 @@ pub enum SiteResult<R> {
     Quarantined(Quarantine),
 }
 
-impl<R> SiteResult<R> {
-    /// The completed result, if any.
-    pub fn done(&self) -> Option<&R> {
-        match self {
-            SiteResult::Done(r) => Some(r),
-            SiteResult::Quarantined(_) => None,
-        }
-    }
-
-    /// Whether the site was quarantined.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self, SiteResult::Quarantined(_))
-    }
-}
-
-/// Results of a panic-isolated map.
-#[derive(Debug)]
-pub struct ResilientOutput<R> {
-    /// Per-site outcomes in input order (`outcomes[i]` is site `i`).
-    pub outcomes: Vec<SiteResult<R>>,
-    /// Worker claim loops that died outside the per-site isolation and
-    /// were respawned.
-    pub respawns: u64,
-}
-
-impl<R> ResilientOutput<R> {
-    /// The quarantined sites, in input order.
-    pub fn quarantined(&self) -> Vec<&Quarantine> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                SiteResult::Quarantined(q) => Some(q),
-                SiteResult::Done(_) => None,
-            })
-            .collect()
-    }
-}
-
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -285,22 +248,28 @@ pub struct DriveStats {
     pub stopped: bool,
 }
 
-/// The non-collecting core of [`map_ordered_resilient`]: runs every site
-/// under per-site panic isolation with bounded retry and hands each
-/// settled [`SiteResult`] to `on_outcome` **by value**, keeping nothing.
-/// This is the streaming substrate — `on_outcome` pushes into a bounded
-/// [`crate::sink::SinkHandle`] and per-site memory stays O(workers)
-/// regardless of campaign size.
+/// Runs the sites `order` names, in that claim order, on `threads`
+/// workers under per-site panic isolation with bounded retry, handing
+/// each settled [`SiteResult`] to `on_outcome` **by value** and keeping
+/// nothing. This is the streaming substrate — `on_outcome` pushes into a
+/// bounded [`crate::sink::SinkHandle`] and per-site memory stays
+/// O(workers) regardless of campaign size.
 ///
-/// Fault domains are identical to [`map_ordered_resilient`]: a site that
-/// panics on every attempt settles as [`SiteResult::Quarantined`]; a
-/// worker whose claim loop dies *outside* the site isolation (e.g. a
-/// panicking `on_outcome`) is respawned, and the site it held is
-/// reported in [`DriveStats::lost`] rather than silently dropped.
+/// `order` lists distinct indices into `items`; it need not cover them
+/// all (a resumed campaign claims only the sites its journal lacks). `f`
+/// and `on_outcome` receive the index into `items`.
+///
+/// Fault domains: each `f` call runs under `catch_unwind` and is retried
+/// up to `policy.max_retries` times, and a site that panics on every
+/// attempt settles as [`SiteResult::Quarantined`]; a worker whose claim
+/// loop dies *outside* the site isolation (e.g. a panicking
+/// `on_outcome`) is respawned, and the site it held is reported in
+/// [`DriveStats::lost`] rather than silently dropped. With a `gate`,
+/// every claim is admitted through [`ClaimGate::admit`] first.
 ///
 /// # Panics
 ///
-/// Panics if `order` is not a permutation of `0..items.len()`.
+/// Panics if `order` holds a duplicate or out-of-range index.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_ordered_resilient<T, R, F, C>(
     items: &[T],
@@ -318,8 +287,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
     C: Fn(usize, SiteResult<R>) + Sync,
 {
-    assert_permutation(order, items.len());
-    let threads = threads.clamp(1, items.len().max(1));
+    assert_distinct(order, items.len());
+    let threads = threads.clamp(1, order.len().max(1));
     let settled: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
     let claimed: Vec<AtomicBool> = (0..items.len()).map(|_| AtomicBool::new(false)).collect();
     let respawns = AtomicU64::new(0);
@@ -404,7 +373,7 @@ where
     }
     let mut lost = Vec::new();
     let mut unclaimed = Vec::new();
-    for i in 0..items.len() {
+    for &i in order {
         if settled[i].load(Ordering::Relaxed) {
             continue;
         }
@@ -414,6 +383,8 @@ where
             unclaimed.push(i);
         }
     }
+    lost.sort_unstable();
+    unclaimed.sort_unstable();
     DriveStats {
         respawns: respawns.load(Ordering::Relaxed),
         lost,
@@ -422,89 +393,16 @@ where
     }
 }
 
-/// [`map_ordered_metered`] with per-site panic isolation: each `f` call
-/// runs under `catch_unwind` and is retried up to `policy.max_retries`
-/// times; a site that panics on every attempt degrades to
-/// [`SiteResult::Quarantined`] instead of killing the campaign.
-/// `on_outcome` is invoked in-worker right after each site settles
-/// (completed or quarantined) — the hook the journal layer uses to make
-/// every record durable before the next claim.
-///
-/// Two further fault domains back the per-site one: a worker whose claim
-/// loop dies *outside* the site isolation (e.g. a panicking `on_outcome`)
-/// is respawned and the in-flight site is reported as a zero-attempt
-/// [`Quarantine`]; and completed outcomes are scattered to their input
-/// index exactly like [`map_ordered`], so the surviving results are
-/// bit-identical to a run without any poison sites, at any thread count.
-///
-/// Collects every outcome in RAM; campaigns whose record set can
-/// outgrow memory use [`drive_ordered_resilient`] with a streaming sink
-/// instead.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of `0..items.len()`.
-pub fn map_ordered_resilient<T, R, F, C>(
-    items: &[T],
-    order: &[usize],
-    threads: usize,
-    policy: RunPolicy,
-    f: F,
-    on_outcome: C,
-    metrics: Option<&CampaignMetrics>,
-) -> ResilientOutput<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    C: Fn(usize, &SiteResult<R>) + Sync,
-{
-    let slots: Vec<Mutex<Option<SiteResult<R>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let stats = drive_ordered_resilient(
-        items,
-        order,
-        threads,
-        policy,
-        f,
-        |i, outcome| {
-            // The user hook runs first (it may panic — that is the
-            // "worker death outside site isolation" fault domain); only
-            // a hook that returns keeps the outcome.
-            on_outcome(i, &outcome);
-            *slots[i].lock().expect("unpoisoned") = Some(outcome);
-        },
-        metrics,
-        None,
-    );
-    let outcomes = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            // A site claimed by a worker that then died outside the site
-            // isolation never filled its slot: surface it as a
-            // zero-attempt quarantine rather than panicking at collect
-            // time (the resume layer will re-run it).
-            m.into_inner().expect("unpoisoned").unwrap_or_else(|| {
-                SiteResult::Quarantined(Quarantine {
-                    index: i,
-                    attempts: 0,
-                    message: "site lost to a worker failure".to_string(),
-                })
-            })
-        })
-        .collect();
-    ResilientOutput {
-        outcomes,
-        respawns: stats.respawns,
-    }
-}
-
 /// Panics with a precise message unless `order` is a permutation of
 /// `0..n` — checked up front so a bad order fails before any work runs,
 /// not at collect time with an empty slot.
-fn assert_permutation(order: &[usize], n: usize) {
+pub(crate) fn assert_permutation(order: &[usize], n: usize) {
     assert_eq!(order.len(), n, "order must cover every item");
+    assert_distinct(order, n);
+}
+
+/// Panics unless `order` holds distinct indices below `n`.
+fn assert_distinct(order: &[usize], n: usize) {
     let mut seen = vec![false; n];
     for &i in order {
         assert!(i < n, "order contains out-of-range index {i} (len {n})");
@@ -619,39 +517,89 @@ mod tests {
         assert!(report.per_worker.iter().map(|w| w.sites).sum::<u64>() == 40);
     }
 
+    /// Drives every site with no gate and collects the settled outcomes
+    /// by input index (`None` for a site that never settled).
+    fn drive_all<R, F, C>(
+        items: &[u64],
+        threads: usize,
+        policy: RunPolicy,
+        f: F,
+        hook: C,
+    ) -> (Vec<Option<SiteResult<R>>>, DriveStats)
+    where
+        R: Send,
+        F: Fn(usize, &u64) -> R + Sync,
+        C: Fn(usize) + Sync,
+    {
+        let order: Vec<usize> = (0..items.len()).collect();
+        let slots: Vec<Mutex<Option<SiteResult<R>>>> =
+            (0..items.len()).map(|_| Mutex::new(None)).collect();
+        let stats = drive_ordered_resilient(
+            items,
+            &order,
+            threads,
+            policy,
+            f,
+            |i, o| {
+                hook(i);
+                *slots[i].lock().unwrap() = Some(o);
+            },
+            None,
+            None,
+        );
+        let out = slots.into_iter().map(|m| m.into_inner().unwrap()).collect();
+        (out, stats)
+    }
+
+    fn done<R: Copy>(o: &Option<SiteResult<R>>) -> Option<R> {
+        match o {
+            Some(SiteResult::Done(r)) => Some(*r),
+            _ => None,
+        }
+    }
+
     #[test]
-    fn resilient_map_matches_plain_map_without_panics() {
+    fn resilient_drive_matches_plain_map_without_panics() {
         let items: Vec<u64> = (0..50).collect();
-        let order = sort_order_by_key(&items);
-        let plain = map_ordered(&items, &order, 4, |i, &x| (i as u64, x * 3));
+        let plain = map(&items, 4, |i, &x| (i as u64, x * 3));
         for threads in [1, 4] {
-            let out = map_ordered_resilient(
+            let (out, stats) = drive_all(
                 &items,
-                &order,
                 threads,
                 RunPolicy::default(),
                 |i, &x| (i as u64, x * 3),
-                |_, _| {},
-                None,
+                |_| {},
             );
-            assert_eq!(out.respawns, 0);
-            let done: Vec<_> = out
-                .outcomes
-                .iter()
-                .map(|o| *o.done().expect("no panics injected"))
-                .collect();
-            assert_eq!(done, plain, "threads={threads}");
+            assert_eq!(stats, DriveStats::default());
+            let got: Vec<_> = out.iter().map(|o| done(o).expect("no panics")).collect();
+            assert_eq!(got, plain, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn drive_over_a_subset_claims_only_those_sites_in_order() {
+        let items: Vec<u64> = (0..10).collect();
+        let claimed = Mutex::new(Vec::new());
+        let stats = drive_ordered_resilient(
+            &items,
+            &[7, 2, 5],
+            1,
+            RunPolicy::default(),
+            |i, _| claimed.lock().unwrap().push(i),
+            |_, _| {},
+            None,
+            None,
+        );
+        assert_eq!(*claimed.lock().unwrap(), vec![7, 2, 5]);
+        assert_eq!(stats, DriveStats::default());
     }
 
     #[test]
     fn panicking_site_is_quarantined_and_campaign_completes() {
         let items: Vec<u64> = (0..20).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
         let attempts_on_7 = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, _) = drive_all(
             &items,
-            &order,
             4,
             RunPolicy { max_retries: 2 },
             |i, &x| {
@@ -661,39 +609,34 @@ mod tests {
                 }
                 x + 1
             },
-            |_, _| {},
-            None,
+            |_| {},
         );
-        assert_eq!(out.outcomes.len(), 20);
         assert_eq!(
             attempts_on_7.load(Ordering::Relaxed),
             3,
             "1 try + 2 retries"
         );
-        match &out.outcomes[7] {
-            SiteResult::Quarantined(q) => {
+        match &out[7] {
+            Some(SiteResult::Quarantined(q)) => {
                 assert_eq!(q.index, 7);
                 assert_eq!(q.attempts, 3);
                 assert!(q.message.contains("poison site 7"), "{q:?}");
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
-        for (i, o) in out.outcomes.iter().enumerate() {
+        for (i, o) in out.iter().enumerate() {
             if i != 7 {
-                assert_eq!(o.done(), Some(&(i as u64 + 1)), "site {i}");
+                assert_eq!(done(o), Some(i as u64 + 1), "site {i}");
             }
         }
-        assert_eq!(out.quarantined().len(), 1);
     }
 
     #[test]
     fn flaky_site_succeeds_within_retry_budget() {
-        let items = [0u32; 9];
-        let order: Vec<usize> = (0..items.len()).collect();
+        let items = [0u64; 9];
         let tries = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, _) = drive_all(
             &items,
-            &order,
             3,
             RunPolicy { max_retries: 2 },
             |i, _| {
@@ -703,25 +646,22 @@ mod tests {
                 }
                 i
             },
-            |_, _| {},
-            None,
+            |_| {},
         );
-        assert_eq!(out.outcomes[4].done(), Some(&4));
-        assert!(out.quarantined().is_empty());
+        assert_eq!(done(&out[4]), Some(4));
+        assert!(out.iter().all(|o| done(o).is_some()));
     }
 
     #[test]
     fn worker_death_outside_site_isolation_respawns_and_loses_only_that_site() {
         let items: Vec<u64> = (0..30).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
         let fired = AtomicUsize::new(0);
-        let out = map_ordered_resilient(
+        let (out, stats) = drive_all(
             &items,
-            &order,
             4,
             RunPolicy::default(),
             |_, &x| x,
-            |i, _| {
+            |i| {
                 // A poisoned outcome hook escapes the per-site isolation
                 // exactly once: the supervisor must respawn the worker's
                 // claim loop and the campaign must still drain.
@@ -729,16 +669,13 @@ mod tests {
                     panic!("hook failure");
                 }
             },
-            None,
         );
-        assert_eq!(out.respawns, 1);
-        match &out.outcomes[11] {
-            SiteResult::Quarantined(q) => assert_eq!(q.attempts, 0),
-            other => panic!("expected lost site, got {other:?}"),
-        }
-        for (i, o) in out.outcomes.iter().enumerate() {
+        assert_eq!(stats.respawns, 1);
+        assert_eq!(stats.lost, vec![11]);
+        assert!(out[11].is_none());
+        for (i, o) in out.iter().enumerate() {
             if i != 11 {
-                assert_eq!(o.done(), Some(&(i as u64)), "site {i}");
+                assert_eq!(done(o), Some(i as u64), "site {i}");
             }
         }
     }

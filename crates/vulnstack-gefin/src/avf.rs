@@ -5,18 +5,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts, ResumableCampaign};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::{self, Quarantine};
-use vulnstack_core::sink::{self, RecordHandle, StreamOpts};
+use vulnstack_core::sink::{RecordHandle, StreamOpts};
 use vulnstack_core::stack::FpmDist;
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::ResumeStats;
+use vulnstack_core::{Campaign, ResumeStats};
 use vulnstack_microarch::lifetime::DEFAULT_EVENT_CAP;
 use vulnstack_microarch::ooo::{FaultModel, Fpm, HwStructure};
 use vulnstack_microarch::{FaultTrace, OooCore, RunStatus};
 
 use crate::prepare::Prepared;
-use crate::prune::{plan_model_sites, plan_sites, InjectionPlan, PruneStats, Pruner};
+use crate::prune::{plan_model_sites, InjectionPlan, PruneStats, Pruner};
 
 /// How an injection run reaches its injection cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -391,64 +391,15 @@ pub fn avf_campaign_metered(
     collect_result(structure, bits, records)
 }
 
-/// [`avf_campaign_metered`] behind an [`InjectionPlan`]: materialises
-/// the plan's sites and, for [`InjectionPlan::Pruned`], executes them
-/// through the equivalence-class [`Pruner`] instead of one simulation
-/// per site. Records are bit-identical to unpruned execution of the
-/// same sites (`tests/prune_equivalence.rs`); the second return value is
-/// the pruner's accounting when one ran.
-pub fn avf_campaign_planned(
-    prep: &Prepared,
-    structure: HwStructure,
-    plan: &InjectionPlan,
-    threads: usize,
-    metrics: Option<&CampaignMetrics>,
-) -> (AvfCampaignResult, Option<PruneStats>) {
-    let bits = structure.bits(&prep.cfg);
-    let sites = plan_sites(prep, structure, plan);
-    let order = sched::sort_order_by(&sites, |&(c, _)| c);
-    if plan.is_pruned() {
-        let pruner = Pruner::new(prep, structure);
-        let records = sched::map_ordered_metered(
-            &sites,
-            &order,
-            threads,
-            |_, &(c, b)| pruner.run_site(c, b, metrics),
-            metrics,
-        );
-        let stats = pruner.stats();
-        (collect_result(structure, bits, records), Some(stats))
-    } else {
-        let records = sched::map_ordered_metered(
-            &sites,
-            &order,
-            threads,
-            |_, &(c, b)| {
-                run_one_inner(
-                    prep,
-                    structure,
-                    c,
-                    b,
-                    FaultModel::BitFlip,
-                    InjectEngine::Checkpointed,
-                    None,
-                    metrics,
-                )
-                .0
-            },
-            metrics,
-        );
-        (collect_result(structure, bits, records), None)
-    }
-}
-
 /// Model-aware planned campaign: executes a plan's `(site, model)`
 /// pairs over `models`. [`InjectionPlan::Exhaustive`] enumerates every
 /// pair (ARMORY-style) and — like [`InjectionPlan::Pruned`] — executes
 /// through the model-aware [`Pruner`], whose per-model dead/equivalence
 /// arguments keep exhaustive sweeps tractable; only
 /// [`InjectionPlan::Sampled`] runs every site individually. Records are
-/// bit-identical to unpruned execution of the same pairs.
+/// bit-identical to unpruned execution of the same pairs. With
+/// `[FaultModel::BitFlip]` a sampled or pruned plan injects exactly
+/// [`draw_sites`]' sites, the sample of [`avf_campaign`].
 pub fn avf_campaign_models(
     prep: &Prepared,
     structure: HwStructure,
@@ -460,39 +411,19 @@ pub fn avf_campaign_models(
     let bits = structure.bits(&prep.cfg);
     let sites = plan_model_sites(prep, structure, plan, models);
     let order = sched::sort_order_by(&sites, |s| s.cycle);
-    if matches!(plan, InjectionPlan::Sampled { .. }) {
-        let records = sched::map_ordered_metered(
-            &sites,
-            &order,
-            threads,
-            |_, s: &ModelSite| {
-                run_one_inner(
-                    prep,
-                    structure,
-                    s.cycle,
-                    s.bit,
-                    s.model,
-                    InjectEngine::Checkpointed,
-                    None,
-                    metrics,
-                )
-                .0
-            },
-            metrics,
-        );
-        (collect_result(structure, bits, records), None)
-    } else {
-        let pruner = Pruner::new(prep, structure);
-        let records = sched::map_ordered_metered(
-            &sites,
-            &order,
-            threads,
-            |_, s: &ModelSite| pruner.run_site_model(s.cycle, s.bit, s.model, metrics),
-            metrics,
-        );
-        let stats = pruner.stats();
-        (collect_result(structure, bits, records), Some(stats))
-    }
+    let pruner =
+        (!matches!(plan, InjectionPlan::Sampled { .. })).then(|| Pruner::new(prep, structure));
+    let records = sched::map_ordered_metered(
+        &sites,
+        &order,
+        threads,
+        |_, &s| run_planned(prep, structure, pruner.as_ref(), s, metrics),
+        metrics,
+    );
+    (
+        collect_result(structure, bits, records),
+        pruner.map(|p| p.stats()),
+    )
 }
 
 /// [`avf_campaign_with`] with per-injection fault-lifetime traces: also
@@ -595,299 +526,76 @@ fn models_fragment(models: &[FaultModel]) -> String {
     names.join("+")
 }
 
+/// The journal identity of an AVF campaign. A single-model sampled
+/// campaign keeps the identity that predates injection plans (no plan
+/// suffix); every other campaign names its plan, and an exhaustive plan
+/// its fixed cycle, so a journal written under one plan refuses a resume
+/// under another.
 fn avf_fingerprint(
     prep: &Prepared,
     structure: HwStructure,
-    n: usize,
-    seed: u64,
-    workload: &str,
+    plan: &InjectionPlan,
+    samples: usize,
     models: &[FaultModel],
+    workload: &str,
 ) -> Fingerprint {
+    let (seed, plan_detail) = match *plan {
+        InjectionPlan::Exhaustive { cycle } => (0, format!("exhaustive@{cycle}")),
+        InjectionPlan::Sampled { n: _, seed } => (seed, "sampled".to_string()),
+        InjectionPlan::Pruned { n: _, seed } => (seed, "pruned".to_string()),
+    };
+    // Tie the identity to the actual golden run, not just the workload's
+    // name: a same-named workload whose input or compiled image changed
+    // draws different sites and must be refused.
+    let mut params = format!(
+        "golden_cycles={};output={:016x};models={}",
+        prep.golden.cycles,
+        fnv1a64(&prep.expected_output),
+        models_fragment(models),
+    );
+    let legacy_sampled =
+        models == [FaultModel::BitFlip] && matches!(plan, InjectionPlan::Sampled { .. });
+    if !legacy_sampled {
+        params.push_str(&format!(";plan={plan_detail}"));
+    }
     Fingerprint {
         engine: "gefin-avf".to_string(),
         workload: workload.to_string(),
         config: prep.cfg.model.name().to_string(),
         structure: structure.name().to_string(),
         seed,
-        samples: n as u64,
-        // Tie the identity to the actual golden run, not just the
-        // workload's name: a same-named workload whose input or compiled
-        // image changed draws different sites and must be refused.
-        params: format!(
-            "golden_cycles={};output={:016x};models={}",
-            prep.golden.cycles,
-            fnv1a64(&prep.expected_output),
-            models_fragment(models),
-        ),
+        samples: samples as u64,
+        params,
         version: RECORD_VERSION,
     }
 }
 
-/// Results of a resumable AVF campaign: the aggregate over completed
-/// records, the quarantined sites (excluded from the aggregate), and the
-/// replay/execute accounting.
-#[derive(Debug)]
-pub struct AvfResumed {
-    /// Aggregate over the completed records.
-    pub result: AvfCampaignResult,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Resume accounting (replayed vs executed, respawns, torn bytes).
-    pub stats: ResumeStats,
-}
-
-/// Journaled, crash-resumable [`avf_campaign_metered`]: every settled
-/// site is appended durably to the journal at `opts.path` before the
-/// worker claims its next site, a panicking site degrades to a
-/// quarantine record instead of killing the campaign, and resuming
-/// replays the journal's sites instantly and runs only the rest. The
-/// merged records are bit-identical to an uninterrupted run at any
-/// thread count (`tests/resume_equivalence.rs`).
-///
-/// # Errors
-///
-/// Any [`JournalError`]: filesystem failures, a missing journal in
-/// [`vulnstack_core::ResumeMode::ResumeRequired`], a fingerprint
-/// mismatch against a journal from a different campaign, or a corrupt
-/// journal body.
-pub fn avf_campaign_resumable(
+/// Runs one site of a planned campaign: through the [`Pruner`] when
+/// there is one, as an individual checkpointed injection otherwise.
+/// Both give bit-identical records.
+pub(crate) fn run_planned(
     prep: &Prepared,
     structure: HwStructure,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
+    pruner: Option<&Pruner<'_>>,
+    site: ModelSite,
     metrics: Option<&CampaignMetrics>,
-) -> Result<AvfResumed, JournalError> {
-    let bits = structure.bits(&prep.cfg);
-    let sites = draw_sites(prep, structure, n, seed);
-    let order = sched::sort_order_by(&sites, |&(c, _)| c);
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint: avf_fingerprint(
-            prep,
-            structure,
-            n,
-            seed,
-            opts.workload,
-            &[FaultModel::BitFlip],
-        ),
-        mode: opts.mode,
-        items: &sites,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &[],
-    }
-    .run(
-        |_, &(c, b)| {
+) -> InjectionRecord {
+    match pruner {
+        Some(p) => p.run_site_model(site.cycle, site.bit, site.model, metrics),
+        None => {
             run_one_inner(
                 prep,
                 structure,
-                c,
-                b,
-                FaultModel::BitFlip,
+                site.cycle,
+                site.bit,
+                site.model,
                 InjectEngine::Checkpointed,
                 None,
                 metrics,
             )
             .0
-        },
-        encode_record,
-        decode_record,
-        metrics,
-    )?;
-    let records: Vec<InjectionRecord> = resumed.records().into_iter().copied().collect();
-    let quarantined: Vec<Quarantine> = resumed.quarantined().into_iter().cloned().collect();
-    Ok(AvfResumed {
-        result: collect_result(structure, bits, records),
-        quarantined,
-        stats: resumed.stats,
-    })
-}
-
-/// [`avf_campaign_resumable`] behind an [`InjectionPlan`]. The plan is
-/// part of the journal's identity (`params` carries its name, and an
-/// exhaustive plan its fixed cycle), so a journal written under one plan
-/// refuses a resume under another. A pruned resume additionally journals
-/// the class-table digest as `class-table` metadata: the table is
-/// rebuilt deterministically on resume, and any disagreement (a changed
-/// classifier, workload image, or golden run) is refused with both
-/// digests named rather than silently re-pruned
-/// ([`JournalError::MetaMismatch`]).
-///
-/// # Errors
-///
-/// Any [`JournalError`] (see [`avf_campaign_resumable`]), plus
-/// [`JournalError::MetaMismatch`] when the journal's class-table digest
-/// disagrees with the rebuilt table's.
-pub fn avf_campaign_resumable_planned(
-    prep: &Prepared,
-    structure: HwStructure,
-    plan: &InjectionPlan,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<(AvfResumed, Option<PruneStats>), JournalError> {
-    let bits = structure.bits(&prep.cfg);
-    let sites = plan_sites(prep, structure, plan);
-    let order = sched::sort_order_by(&sites, |&(c, _)| c);
-    let (seed, plan_detail) = match *plan {
-        InjectionPlan::Exhaustive { cycle } => (0, format!("exhaustive@{cycle}")),
-        InjectionPlan::Sampled { n: _, seed } => (seed, "sampled".to_string()),
-        InjectionPlan::Pruned { n: _, seed } => (seed, "pruned".to_string()),
-    };
-    let mut fingerprint = avf_fingerprint(
-        prep,
-        structure,
-        sites.len(),
-        seed,
-        opts.workload,
-        &[FaultModel::BitFlip],
-    );
-    fingerprint.params.push_str(&format!(";plan={plan_detail}"));
-
-    let pruner = plan.is_pruned().then(|| Pruner::new(prep, structure));
-    let meta: Vec<(String, String)> = pruner
-        .as_ref()
-        .map(|p| {
-            vec![(
-                "class-table".to_string(),
-                format!("fnv={:016x}", p.table().digest()),
-            )]
-        })
-        .unwrap_or_default();
-
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &sites,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &meta,
+        }
     }
-    .run(
-        |_, &(c, b)| match &pruner {
-            Some(p) => p.run_site(c, b, metrics),
-            None => {
-                run_one_inner(
-                    prep,
-                    structure,
-                    c,
-                    b,
-                    FaultModel::BitFlip,
-                    InjectEngine::Checkpointed,
-                    None,
-                    metrics,
-                )
-                .0
-            }
-        },
-        encode_record,
-        decode_record,
-        metrics,
-    )?;
-    let records: Vec<InjectionRecord> = resumed.records().into_iter().copied().collect();
-    let quarantined: Vec<Quarantine> = resumed.quarantined().into_iter().cloned().collect();
-    Ok((
-        AvfResumed {
-            result: collect_result(structure, bits, records),
-            quarantined,
-            stats: resumed.stats,
-        },
-        pruner.map(|p| p.stats()),
-    ))
-}
-
-/// Model-aware [`avf_campaign_resumable_planned`]: journaled,
-/// crash-resumable execution of a plan's `(site, model)` pairs. The
-/// fingerprint covers the canonical model set (and the plan), so a
-/// journal written under one model set refuses a resume under another;
-/// records carry their model tag through the journal codec. Exhaustive
-/// and pruned plans execute through the model-aware [`Pruner`].
-///
-/// # Errors
-///
-/// Any [`JournalError`] (see [`avf_campaign_resumable`]), plus
-/// [`JournalError::MetaMismatch`] when the journal's class-table digest
-/// disagrees with the rebuilt table's.
-pub fn avf_campaign_models_resumable(
-    prep: &Prepared,
-    structure: HwStructure,
-    plan: &InjectionPlan,
-    models: &[FaultModel],
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&CampaignMetrics>,
-) -> Result<(AvfResumed, Option<PruneStats>), JournalError> {
-    let bits = structure.bits(&prep.cfg);
-    let models = canonical_models(models, structure);
-    let sites = plan_model_sites(prep, structure, plan, &models);
-    let order = sched::sort_order_by(&sites, |s| s.cycle);
-    let (seed, plan_detail) = match *plan {
-        InjectionPlan::Exhaustive { cycle } => (0, format!("exhaustive@{cycle}")),
-        InjectionPlan::Sampled { n: _, seed } => (seed, "sampled".to_string()),
-        InjectionPlan::Pruned { n: _, seed } => (seed, "pruned".to_string()),
-    };
-    let mut fingerprint =
-        avf_fingerprint(prep, structure, sites.len(), seed, opts.workload, &models);
-    fingerprint.params.push_str(&format!(";plan={plan_detail}"));
-
-    let pruner =
-        (!matches!(plan, InjectionPlan::Sampled { .. })).then(|| Pruner::new(prep, structure));
-    let meta: Vec<(String, String)> = pruner
-        .as_ref()
-        .map(|p| {
-            vec![(
-                "class-table".to_string(),
-                format!("fnv={:016x}", p.table().digest()),
-            )]
-        })
-        .unwrap_or_default();
-
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &sites,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &meta,
-    }
-    .run(
-        |_, s: &ModelSite| match &pruner {
-            Some(p) => p.run_site_model(s.cycle, s.bit, s.model, metrics),
-            None => {
-                run_one_inner(
-                    prep,
-                    structure,
-                    s.cycle,
-                    s.bit,
-                    s.model,
-                    InjectEngine::Checkpointed,
-                    None,
-                    metrics,
-                )
-                .0
-            }
-        },
-        encode_record,
-        decode_record,
-        metrics,
-    )?;
-    let records: Vec<InjectionRecord> = resumed.records().into_iter().copied().collect();
-    let quarantined: Vec<Quarantine> = resumed.quarantined().into_iter().cloned().collect();
-    Ok((
-        AvfResumed {
-            result: collect_result(structure, bits, records),
-            quarantined,
-            stats: resumed.stats,
-        },
-        pruner.map(|p| p.stats()),
-    ))
 }
 
 /// Per-model outcome tallies of a model-aware campaign, in
@@ -953,11 +661,10 @@ pub struct AvfStreamed {
     /// Handle to the on-disk record stream, when
     /// [`StreamOpts::spill`] was set.
     pub records: Option<RecordHandle>,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only; the unjournaled path propagates panics like
-    /// [`avf_campaign`]).
+    /// Sites whose every injection attempt panicked, journaled or not
+    /// (excluded from the tallies).
     pub quarantined: Vec<Quarantine>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
+    /// Replay/execute accounting (nothing replays without a journal).
     pub stats: ResumeStats,
 }
 
@@ -1025,25 +732,30 @@ impl TallyAccum {
     }
 }
 
-/// Streaming, bounded-memory counterpart of the whole `avf_campaign_*`
-/// family: one entry point dispatching exactly like the CLI. A
-/// single-model sampled campaign keeps [`avf_campaign_resumable`]'s
-/// journal fingerprint bit-for-bit (no plan suffix); a single-model
-/// pruned campaign keeps [`avf_campaign_resumable_planned`]'s (plan
-/// suffix + class-table metadata); multi-model or exhaustive campaigns
-/// keep [`avf_campaign_models_resumable`]'s — so streamed and legacy
-/// runs can kill-and-resume each other's journals.
+/// Streaming, bounded-memory AVF campaign: executes a plan's
+/// `(site, model)` pairs over `models`, dispatching exactly like the CLI
+/// and the daemon. Sampled plans run every site individually; pruned
+/// and exhaustive plans execute through the model-aware [`Pruner`],
+/// whose per-model dead/equivalence arguments keep exhaustive sweeps
+/// tractable. Records are bit-identical to [`avf_campaign_models`].
 ///
 /// Records are never collected: each settled site flows worker →
 /// bounded sink channel → journal append (when `journal` is given) →
 /// optional spill file → the tally fold. A full channel blocks the
 /// workers (backpressure), so peak memory is bounded by
-/// [`StreamOpts::channel_cap`] regardless of campaign size.
+/// [`StreamOpts::channel_cap`] regardless of campaign size. With a
+/// journal, a pruned or exhaustive campaign also journals its
+/// class-table digest as `class-table` metadata: the table is rebuilt
+/// deterministically on resume, and any disagreement (a changed
+/// classifier, workload image, or golden run) is refused with both
+/// digests named rather than silently re-pruned.
 ///
 /// # Errors
 ///
-/// Any [`JournalError`] (journaled runs: see
-/// [`avf_campaign_models_resumable`]); spill-file I/O errors otherwise.
+/// Any [`JournalError`]: filesystem failures, a missing journal in
+/// [`vulnstack_core::ResumeMode::ResumeRequired`], a fingerprint or
+/// class-table mismatch against a journal from a different campaign, a
+/// corrupt journal body, or spill-file I/O errors.
 #[allow(clippy::too_many_arguments)]
 pub fn avf_campaign_models_streamed(
     prep: &Prepared,
@@ -1059,107 +771,31 @@ pub fn avf_campaign_models_streamed(
     let models = canonical_models(models, structure);
     let sites = plan_model_sites(prep, structure, plan, &models);
     let order = sched::sort_order_by(&sites, |s| s.cycle);
-    let legacy =
-        models == [FaultModel::BitFlip] && !matches!(plan, InjectionPlan::Exhaustive { .. });
-    // Same pruner decisions as the legacy trio: a legacy campaign prunes
-    // only under an explicitly pruned plan; the model-aware engine also
-    // prunes exhaustive sweeps (that is what keeps them tractable).
-    let use_pruner = if legacy {
-        plan.is_pruned()
-    } else {
-        !matches!(plan, InjectionPlan::Sampled { .. })
-    };
+    let use_pruner = !matches!(plan, InjectionPlan::Sampled { .. });
     let pruner = use_pruner.then(|| Pruner::new(prep, structure));
-    let runner = |_: usize, s: &ModelSite| match &pruner {
-        Some(p) => p.run_site_model(s.cycle, s.bit, s.model, metrics),
-        None => {
-            run_one_inner(
-                prep,
-                structure,
-                s.cycle,
-                s.bit,
-                s.model,
-                InjectEngine::Checkpointed,
-                None,
-                metrics,
-            )
-            .0
-        }
-    };
-
     let mut acc = TallyAccum::new();
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let fingerprint = if legacy && matches!(plan, InjectionPlan::Sampled { .. }) {
-                // The legacy sampled identity: no plan suffix.
-                let InjectionPlan::Sampled { n, seed } = *plan else {
-                    unreachable!("matched Sampled above")
-                };
-                avf_fingerprint(prep, structure, n, seed, opts.workload, &models)
-            } else {
-                let (seed, plan_detail) = match *plan {
-                    InjectionPlan::Exhaustive { cycle } => (0, format!("exhaustive@{cycle}")),
-                    InjectionPlan::Sampled { n: _, seed } => (seed, "sampled".to_string()),
-                    InjectionPlan::Pruned { n: _, seed } => (seed, "pruned".to_string()),
-                };
-                let mut f =
-                    avf_fingerprint(prep, structure, sites.len(), seed, opts.workload, &models);
-                f.params.push_str(&format!(";plan={plan_detail}"));
-                f
-            };
-            let meta: Vec<(String, String)> = pruner
-                .as_ref()
-                .map(|p| {
-                    vec![(
-                        "class-table".to_string(),
-                        format!("fnv={:016x}", p.table().digest()),
-                    )]
-                })
-                .unwrap_or_default();
-            let out = ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &sites,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &meta,
-            }
-            .run_streaming(
-                stream,
-                runner,
-                encode_record,
-                decode_record,
-                |_, payload| acc.add_payload(payload),
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = sink::stream(
-                None,
-                stream,
-                |_, payload| acc.add_payload(payload),
-                |handle| {
-                    sched::map_ordered_metered(
-                        &sites,
-                        &order,
-                        threads,
-                        |i, s: &ModelSite| {
-                            handle.push_done(i as u64, encode_record(&runner(i, s)));
-                        },
-                        metrics,
-                    );
-                },
-            )?;
-            let stats = ResumeStats {
-                executed: sites.len(),
-                ..ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+    let out = Campaign {
+        items: &sites,
+        order: &order,
+        threads,
+        journal: journal.map(|o| {
+            o.bind(
+                avf_fingerprint(prep, structure, plan, sites.len(), &models, o.workload),
+                pruner
+                    .as_ref()
+                    .map(Pruner::journal_meta)
+                    .unwrap_or_default(),
+            )
+        }),
+    }
+    .run(
+        stream,
+        |_, &s| run_planned(prep, structure, pruner.as_ref(), s, metrics),
+        encode_record,
+        decode_record,
+        |_, payload| acc.add_payload(payload),
+        metrics,
+    )?;
     let (tally, fpm, per_model) = acc.finish();
     Ok((
         AvfStreamed {
@@ -1168,9 +804,9 @@ pub fn avf_campaign_models_streamed(
             tally,
             fpm,
             per_model,
-            records,
-            quarantined,
-            stats,
+            records: out.records,
+            quarantined: out.quarantined,
+            stats: out.stats,
         },
         pruner.map(|p| p.stats()),
     ))

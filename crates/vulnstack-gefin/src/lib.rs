@@ -33,28 +33,22 @@ pub mod sweep;
 
 pub use ace::ace_analysis;
 pub use avf::{
-    avf_campaign, avf_campaign_metered, avf_campaign_models, avf_campaign_models_resumable,
-    avf_campaign_models_streamed, avf_campaign_planned, avf_campaign_resumable,
-    avf_campaign_resumable_planned, avf_campaign_traced, avf_campaign_with, canonical_models,
-    decode_record, draw_model_sites, draw_sites, encode_record, per_model_tallies, run_one_model,
-    run_one_traced, AvfCampaignResult, AvfResumed, AvfStreamed, InjectEngine, InjectionRecord,
-    ModelSite,
+    avf_campaign, avf_campaign_metered, avf_campaign_models, avf_campaign_models_streamed,
+    avf_campaign_traced, avf_campaign_with, canonical_models, decode_record, draw_model_sites,
+    draw_sites, encode_record, per_model_tallies, run_one_model, run_one_traced, AvfCampaignResult,
+    AvfStreamed, InjectEngine, InjectionRecord, ModelSite,
 };
 pub use compare::{static_vs_dynamic, StaticDynamicComparison};
 pub use prepare::{FuncPrepared, Prepared};
 pub use prune::{
-    early_term_enabled, plan_model_sites, plan_sites, prune_default, static_classifier, ClassKey,
-    ClassTable, InjectionPlan, PruneStats, Pruner, SiteClass,
+    early_term_enabled, plan_model_sites, prune_default, static_classifier, ClassKey, ClassTable,
+    InjectionPlan, PruneStats, Pruner, SiteClass,
 };
-pub use pvf::{
-    pvf_campaign, pvf_campaign_metered, pvf_campaign_resumable, pvf_campaign_streamed, PvfMode,
-    PvfResumed, PvfStreamed,
-};
+pub use pvf::{pvf_campaign, pvf_campaign_streamed, PvfMode, PvfStreamed};
 pub use report::{avf_report_json, ModelReport};
 pub use sweep::{
-    temporal_campaign, temporal_campaign_metered, temporal_campaign_pruned,
-    temporal_campaign_resumable, temporal_campaign_resumable_pruned, temporal_campaign_streamed,
-    TemporalProfile, TemporalResumed, TemporalStreamed,
+    temporal_campaign, temporal_campaign_pruned, temporal_campaign_streamed, TemporalProfile,
+    TemporalStreamed,
 };
 
 // The warn-on-malformed env-knob parser now lives in `vulnstack-microarch`

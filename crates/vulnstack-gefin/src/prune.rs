@@ -587,6 +587,15 @@ impl<'a> Pruner<'a> {
         &self.table
     }
 
+    /// The journal metadata a pruned campaign records: its class-table
+    /// digest, so a resume against a differently built table is refused.
+    pub(crate) fn journal_meta(&self) -> Vec<(String, String)> {
+        vec![(
+            "class-table".to_string(),
+            format!("fnv={:016x}", self.table.digest()),
+        )]
+    }
+
     /// Current accounting snapshot.
     pub fn stats(&self) -> PruneStats {
         PruneStats {
@@ -934,25 +943,6 @@ impl InjectionPlan {
     }
 }
 
-/// Materialises a plan's fault sites. [`InjectionPlan::Sampled`] and
-/// [`InjectionPlan::Pruned`] with the same `(n, seed)` yield the same
-/// sites — pruning changes execution, never the sample.
-pub fn plan_sites(
-    prep: &Prepared,
-    structure: HwStructure,
-    plan: &InjectionPlan,
-) -> Vec<(u64, u64)> {
-    match *plan {
-        InjectionPlan::Exhaustive { cycle } => {
-            let bits = structure.bits(&prep.cfg);
-            (0..bits).map(|b| (cycle, b)).collect()
-        }
-        InjectionPlan::Sampled { n, seed } | InjectionPlan::Pruned { n, seed } => {
-            crate::avf::draw_sites(prep, structure, n, seed)
-        }
-    }
-}
-
 /// Materialises a plan's `(site, model)` pairs over a model set. An
 /// [`InjectionPlan::Exhaustive`] plan enumerates, per applicable model
 /// in canonical order, that model's *entire* site space at the fixed
@@ -1177,26 +1167,32 @@ mod tests {
     }
 
     #[test]
-    fn plan_sites_shapes() {
+    fn plan_model_sites_shapes() {
         let w = WorkloadId::Crc32.build();
         let prep = Prepared::new(&w, CoreModel::A9).unwrap();
-        let s = plan_sites(
+        let bit_flip = [FaultModel::BitFlip];
+        let s = plan_model_sites(
             &prep,
             HwStructure::RegisterFile,
             &InjectionPlan::Sampled { n: 10, seed: 3 },
+            &bit_flip,
         );
-        let p = plan_sites(
+        let p = plan_model_sites(
             &prep,
             HwStructure::RegisterFile,
             &InjectionPlan::Pruned { n: 10, seed: 3 },
+            &bit_flip,
         );
         assert_eq!(s, p, "pruning must not change the sample");
-        let e = plan_sites(
+        let drawn: Vec<(u64, u64)> = s.iter().map(|m| (m.cycle, m.bit)).collect();
+        assert_eq!(drawn, draw_sites(&prep, HwStructure::RegisterFile, 10, 3));
+        let e = plan_model_sites(
             &prep,
             HwStructure::Lsq,
             &InjectionPlan::Exhaustive { cycle: 40 },
+            &bit_flip,
         );
         assert_eq!(e.len() as u64, HwStructure::Lsq.bits(&prep.cfg));
-        assert!(e.iter().all(|&(c, _)| c == 40));
+        assert!(e.iter().all(|m| m.cycle == 40));
     }
 }

@@ -12,10 +12,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vulnstack_core::effects::{FaultEffect, Tally};
-use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts, ResumableCampaign};
+use vulnstack_core::journal::{fnv1a64, Fingerprint, JournalError, JournalOpts};
 use vulnstack_core::sched::Quarantine;
-use vulnstack_core::sink::{self, RecordHandle, StreamOpts};
-use vulnstack_core::ResumeStats;
+use vulnstack_core::sink::{RecordHandle, StreamOpts};
+use vulnstack_core::{Campaign, ResumeStats};
 use vulnstack_isa::fields::bits_of_class;
 use vulnstack_isa::{BitClass, Reg};
 use vulnstack_microarch::func::{FuncCore, PvfFault, PvfMutation};
@@ -139,36 +139,14 @@ pub fn pvf_campaign(
     seed: u64,
     threads: usize,
 ) -> Tally {
-    pvf_campaign_metered(prep, mode, n, seed, threads, None)
-}
-
-/// [`pvf_campaign`] with optional campaign metrics: each injection is
-/// recorded as a worker span in `metrics` (the functional engine has no
-/// checkpoints, so no restore distances are recorded). Results are
-/// identical to the unmetered campaign.
-pub fn pvf_campaign_metered(
-    prep: &FuncPrepared,
-    mode: PvfMode,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Tally {
     let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    vulnstack_core::sched::map_ordered_metered(
-        &indices,
-        &order,
-        threads,
-        |_, &i| run_indexed(prep, mode, seed, i),
-        metrics,
-    )
-    .into_iter()
-    .collect()
+    vulnstack_core::sched::map(&indices, threads, |_, &i| run_indexed(prep, mode, seed, i))
+        .into_iter()
+        .collect()
 }
 
 /// Runs one PVF injection for campaign index `i` (the per-index seeding
-/// shared by the parallel and resumable campaign paths).
+/// shared by the in-memory and streamed campaigns).
 fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> FaultEffect {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37).wrapping_add(i as u64));
     match mode {
@@ -178,99 +156,28 @@ fn run_indexed(prep: &FuncPrepared, mode: PvfMode, seed: u64, i: usize) -> Fault
     }
 }
 
-/// Results of a resumable PVF campaign: the tally over completed
-/// injections, the quarantined sites (excluded from the tally), and the
-/// replay/execute accounting.
-#[derive(Debug)]
-pub struct PvfResumed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<Quarantine>,
-    /// Resume accounting.
-    pub stats: ResumeStats,
-}
-
-/// Journaled, crash-resumable [`pvf_campaign_metered`]: each settled
-/// injection is appended durably to the journal at `opts.path`, and a
-/// resume replays the journaled injections instantly, running only the
-/// rest. The merged tally is identical to an uninterrupted campaign at
-/// any thread count.
-///
-/// # Errors
-///
-/// Any [`JournalError`] (see
-/// [`avf_campaign_resumable`](crate::avf::avf_campaign_resumable)).
-pub fn pvf_campaign_resumable(
-    prep: &FuncPrepared,
-    mode: PvfMode,
-    n: usize,
-    seed: u64,
-    threads: usize,
-    opts: &JournalOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<PvfResumed, JournalError> {
-    let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let fingerprint = Fingerprint {
-        engine: "gefin-pvf".to_string(),
-        workload: opts.workload.to_string(),
-        config: prep.isa.name().to_string(),
-        structure: "-".to_string(),
-        seed,
-        samples: n as u64,
-        params: format!(
-            "mode={};golden_instrs={};output={:016x}",
-            mode.name(),
-            prep.golden.instrs,
-            fnv1a64(&prep.expected_output)
-        ),
-        version: crate::avf::RECORD_VERSION,
-    };
-    let resumed = ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &indices,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &[],
-    }
-    .run(
-        |_, &i| run_indexed(prep, mode, seed, i),
-        |e| e.name().to_string(),
-        FaultEffect::from_name,
-        metrics,
-    )?;
-    Ok(PvfResumed {
-        tally: resumed.records().into_iter().copied().collect(),
-        quarantined: resumed.quarantined().into_iter().cloned().collect(),
-        stats: resumed.stats,
-    })
-}
-
 /// Results of a streaming PVF campaign: the tally accumulated effect by
 /// effect in the sink fold, never a collected outcome vector.
 #[derive(Debug)]
 pub struct PvfStreamed {
     /// Tally over the completed injections.
     pub tally: Tally,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only).
+    /// Sites whose every injection attempt panicked, journaled or not
+    /// (excluded from the tally).
     pub quarantined: Vec<Quarantine>,
     /// Handle to the on-disk record stream, when
     /// [`StreamOpts::spill`] was set.
     pub records: Option<RecordHandle>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
+    /// Replay/execute accounting (nothing replays without a journal).
     pub stats: ResumeStats,
 }
 
-/// Streaming, bounded-memory [`pvf_campaign_metered`] /
-/// [`pvf_campaign_resumable`]: each settled injection flows through the
-/// bounded sink channel into the tally fold (and, with `journal`, the
-/// journal — same `gefin-pvf` fingerprint as the resumable path, so the
-/// two can kill-and-resume each other's journals).
+/// Streaming, bounded-memory [`pvf_campaign`]: each settled injection
+/// flows through the bounded sink channel into the tally fold and, with
+/// `journal`, into a crash-resumable journal (`gefin-pvf` fingerprint);
+/// a resume replays the journaled injections instantly and runs only
+/// the rest. The tally is identical to [`pvf_campaign`] at any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -287,75 +194,45 @@ pub fn pvf_campaign_streamed(
     metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
 ) -> Result<PvfStreamed, JournalError> {
     let indices: Vec<usize> = (0..n).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let encode = |e: &FaultEffect| e.name().to_string();
+    let fingerprint = |workload: &str| Fingerprint {
+        engine: "gefin-pvf".to_string(),
+        workload: workload.to_string(),
+        config: prep.isa.name().to_string(),
+        structure: "-".to_string(),
+        seed,
+        samples: n as u64,
+        params: format!(
+            "mode={};golden_instrs={};output={:016x}",
+            mode.name(),
+            prep.golden.instrs,
+            fnv1a64(&prep.expected_output)
+        ),
+        version: crate::avf::RECORD_VERSION,
+    };
     let mut tally = Tally::default();
-    let mut fold = |_: u64, payload: &str| {
-        if let Some(e) = FaultEffect::from_name(payload) {
-            tally.add(e);
-        }
-    };
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let fingerprint = Fingerprint {
-                engine: "gefin-pvf".to_string(),
-                workload: opts.workload.to_string(),
-                config: prep.isa.name().to_string(),
-                structure: "-".to_string(),
-                seed,
-                samples: n as u64,
-                params: format!(
-                    "mode={};golden_instrs={};output={:016x}",
-                    mode.name(),
-                    prep.golden.instrs,
-                    fnv1a64(&prep.expected_output)
-                ),
-                version: crate::avf::RECORD_VERSION,
-            };
-            let out = ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &indices,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &[],
+    let out = Campaign {
+        items: &indices,
+        order: &indices,
+        threads,
+        journal: journal.map(|o| o.bind(fingerprint(o.workload), Vec::new())),
+    }
+    .run(
+        stream,
+        |_, &i| run_indexed(prep, mode, seed, i),
+        |e: &FaultEffect| e.name().to_string(),
+        FaultEffect::from_name,
+        |_, payload| {
+            if let Some(e) = FaultEffect::from_name(payload) {
+                tally.add(e);
             }
-            .run_streaming(
-                stream,
-                |_, &i| run_indexed(prep, mode, seed, i),
-                encode,
-                FaultEffect::from_name,
-                &mut fold,
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = sink::stream(None, stream, &mut fold, |handle| {
-                vulnstack_core::sched::map_ordered_metered(
-                    &indices,
-                    &order,
-                    threads,
-                    |i, &k: &usize| {
-                        handle.push_done(i as u64, encode(&run_indexed(prep, mode, seed, k)));
-                    },
-                    metrics,
-                );
-            })?;
-            let stats = ResumeStats {
-                executed: n,
-                ..ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+        },
+        metrics,
+    )?;
     Ok(PvfStreamed {
         tally,
-        quarantined,
-        records,
-        stats,
+        quarantined: out.quarantined,
+        records: out.records,
+        stats: out.stats,
     })
 }
 

@@ -252,7 +252,7 @@ pub fn svf_campaign_metered(
 }
 
 /// Draws the campaign's fault sites from one seeded stream — the same
-/// stream every SVF entry point uses, so journaled, metered and plain
+/// stream every SVF entry point uses, so streamed, metered and plain
 /// campaigns inject identical sites for the same seed.
 pub fn draw_faults(golden: &SvfGolden, n: usize, seed: u64) -> Vec<SwFault> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51F1_57AC_0DE5_EED5);
@@ -337,114 +337,36 @@ pub fn svf_model_breakdown(
     out
 }
 
-/// Results of a resumable SVF campaign: the tally over completed
-/// injections, the quarantined sites (excluded from the tally), and the
-/// replay/execute accounting.
-#[derive(Debug)]
-pub struct SvfResumed {
-    /// Tally over the completed injections.
-    pub tally: Tally,
-    /// Sites whose every injection attempt panicked.
-    pub quarantined: Vec<vulnstack_core::sched::Quarantine>,
-    /// Resume accounting.
-    pub stats: vulnstack_core::ResumeStats,
-}
-
-/// Journaled, crash-resumable [`svf_campaign_metered`]: each settled
-/// injection is appended durably to the journal at `opts.path` before
-/// the worker claims its next site, a panicking injection degrades to a
-/// quarantine record instead of killing the campaign, and a resume
-/// replays the journaled injections instantly, refusing a journal whose
-/// fingerprint (workload, seed, sample count, golden run, schema
-/// version) does not match. The merged tally is identical to an
-/// uninterrupted campaign at any thread count.
-///
-/// # Errors
-///
-/// Any [`vulnstack_core::JournalError`]: filesystem failures, a missing
-/// journal when resume is required, a fingerprint mismatch, or a corrupt
-/// journal body.
-#[allow(clippy::too_many_arguments)]
-pub fn svf_campaign_resumable(
-    module: &Module,
-    input: &[u8],
-    expected_output: &[u8],
-    n: usize,
-    seed: u64,
-    threads: usize,
-    opts: &vulnstack_core::JournalOpts<'_>,
-    metrics: Option<&vulnstack_core::trace::CampaignMetrics>,
-) -> Result<SvfResumed, vulnstack_core::JournalError> {
-    let golden = golden_run(module, input);
-    debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
-    let faults = draw_faults(&golden, n, seed);
-    let order: Vec<usize> = (0..faults.len()).collect();
-    let fingerprint = vulnstack_core::Fingerprint {
-        engine: "llfi-svf".to_string(),
-        workload: opts.workload.to_string(),
-        config: "vir".to_string(),
-        structure: "-".to_string(),
-        seed,
-        samples: n as u64,
-        params: format!(
-            "injectable={};output={:016x};models={}",
-            golden.injectable,
-            vulnstack_core::journal::fnv1a64(&golden.output),
-            FaultModel::BitFlip.name(),
-        ),
-        // Version 2: the fingerprint binds the fault-model set.
-        version: 2,
-    };
-    let resumed = vulnstack_core::ResumableCampaign {
-        path: opts.path,
-        fingerprint,
-        mode: opts.mode,
-        items: &faults,
-        order: &order,
-        threads,
-        policy: opts.policy,
-        meta: &[],
-    }
-    .run(
-        |_, &f| run_one_metered(module, input, &golden, f, metrics),
-        |e| e.name().to_string(),
-        FaultEffect::from_name,
-        metrics,
-    )?;
-    Ok(SvfResumed {
-        tally: resumed.records().into_iter().copied().collect(),
-        quarantined: resumed.quarantined().into_iter().cloned().collect(),
-        stats: resumed.stats,
-    })
-}
-
 /// Results of a streaming SVF campaign: the tally accumulated effect by
 /// effect in the sink fold, never a collected outcome vector.
 #[derive(Debug)]
 pub struct SvfStreamed {
     /// Tally over the completed injections.
     pub tally: Tally,
-    /// Sites whose every injection attempt panicked (journaled runs
-    /// only).
+    /// Sites whose every injection attempt panicked, journaled or not
+    /// (excluded from the tally).
     pub quarantined: Vec<vulnstack_core::sched::Quarantine>,
     /// Handle to the on-disk record stream, when a spill file was
     /// requested.
     pub records: Option<vulnstack_core::RecordHandle>,
-    /// Replay/execute accounting (all-executed for unjournaled runs).
+    /// Replay/execute accounting (nothing replays without a journal).
     pub stats: vulnstack_core::ResumeStats,
 }
 
-/// Streaming, bounded-memory [`svf_campaign_metered`] /
-/// [`svf_campaign_resumable`]: each settled injection flows through the
-/// bounded sink channel (`vulnstack_core::sink`) into the tally fold —
-/// and, with `journal`, into the journal under the exact `llfi-svf`
-/// fingerprint of the resumable path, so streamed and legacy campaigns
-/// can kill-and-resume each other's journals.
+/// Streaming, bounded-memory [`svf_campaign_metered`]: each settled
+/// injection flows through the bounded sink channel
+/// (`vulnstack_core::sink`) into the tally fold. With `journal`, it is
+/// also appended durably to a crash-resumable journal (`llfi-svf`
+/// fingerprint: workload, seed, sample count, golden run, schema
+/// version), and a resume replays the journaled injections instantly,
+/// refusing a journal from a different campaign. The tally is identical
+/// to [`svf_campaign`] at any thread count.
 ///
 /// # Errors
 ///
-/// Any [`vulnstack_core::JournalError`] (journaled runs), or spill-file
-/// I/O errors.
+/// Any [`vulnstack_core::JournalError`]: filesystem failures, a missing
+/// journal when resume is required, a fingerprint mismatch, a corrupt
+/// journal body, or spill-file I/O errors.
 #[allow(clippy::too_many_arguments)]
 pub fn svf_campaign_streamed(
     module: &Module,
@@ -461,77 +383,46 @@ pub fn svf_campaign_streamed(
     debug_assert_eq!(golden.output, expected_output, "golden output mismatch");
     let faults = draw_faults(&golden, n, seed);
     let order: Vec<usize> = (0..faults.len()).collect();
-    let encode = |e: &FaultEffect| e.name().to_string();
+    let fingerprint = |workload: &str| vulnstack_core::Fingerprint {
+        engine: "llfi-svf".to_string(),
+        workload: workload.to_string(),
+        config: "vir".to_string(),
+        structure: "-".to_string(),
+        seed,
+        samples: n as u64,
+        params: format!(
+            "injectable={};output={:016x};models={}",
+            golden.injectable,
+            vulnstack_core::journal::fnv1a64(&golden.output),
+            FaultModel::BitFlip.name(),
+        ),
+        // Version 2: the fingerprint binds the fault-model set.
+        version: 2,
+    };
     let mut tally = Tally::default();
-    let mut fold = |_: u64, payload: &str| {
-        if let Some(e) = FaultEffect::from_name(payload) {
-            tally.add(e);
-        }
-    };
-    let (quarantined, records, stats) = match journal {
-        Some(opts) => {
-            let fingerprint = vulnstack_core::Fingerprint {
-                engine: "llfi-svf".to_string(),
-                workload: opts.workload.to_string(),
-                config: "vir".to_string(),
-                structure: "-".to_string(),
-                seed,
-                samples: n as u64,
-                params: format!(
-                    "injectable={};output={:016x};models={}",
-                    golden.injectable,
-                    vulnstack_core::journal::fnv1a64(&golden.output),
-                    FaultModel::BitFlip.name(),
-                ),
-                version: 2,
-            };
-            let out = vulnstack_core::ResumableCampaign {
-                path: opts.path,
-                fingerprint,
-                mode: opts.mode,
-                items: &faults,
-                order: &order,
-                threads,
-                policy: opts.policy,
-                meta: &[],
+    let out = vulnstack_core::Campaign {
+        items: &faults,
+        order: &order,
+        threads,
+        journal: journal.map(|o| o.bind(fingerprint(o.workload), Vec::new())),
+    }
+    .run(
+        stream,
+        |_, &f| run_one_metered(module, input, &golden, f, metrics),
+        |e: &FaultEffect| e.name().to_string(),
+        FaultEffect::from_name,
+        |_, payload| {
+            if let Some(e) = FaultEffect::from_name(payload) {
+                tally.add(e);
             }
-            .run_streaming(
-                stream,
-                |_, &f| run_one_metered(module, input, &golden, f, metrics),
-                encode,
-                FaultEffect::from_name,
-                &mut fold,
-                metrics,
-            )?;
-            (out.quarantined, out.records, out.stats)
-        }
-        None => {
-            let ((), summary) = vulnstack_core::sink::stream(None, stream, &mut fold, |handle| {
-                vulnstack_core::sched::map_ordered_metered(
-                    &faults,
-                    &order,
-                    threads,
-                    |i, &f| {
-                        handle.push_done(
-                            i as u64,
-                            encode(&run_one_metered(module, input, &golden, f, metrics)),
-                        );
-                    },
-                    metrics,
-                );
-            })?;
-            let stats = vulnstack_core::ResumeStats {
-                executed: n,
-                ..vulnstack_core::ResumeStats::default()
-            };
-            (summary.quarantined, summary.records, stats)
-        }
-    };
+        },
+        metrics,
+    )?;
     Ok(SvfStreamed {
         tally,
-        quarantined,
-        records,
-        stats,
+        quarantined: out.quarantined,
+        records: out.records,
+        stats: out.stats,
     })
 }
 

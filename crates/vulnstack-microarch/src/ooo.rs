@@ -2160,7 +2160,7 @@ impl OooCore {
         self.ftrace_push(FaultEventKind::ProvenHang);
     }
 
-    /// True if the affine non-termination prover ([`crate::runaway`])
+    /// True if the affine non-termination prover (the `runaway` module)
     /// certifies that this run's terminal status is `Timeout`: the
     /// committed stream is locked into a loop that provably cannot
     /// branch out, trap, or halt before `budget` cycles elapse. Requires

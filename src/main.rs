@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use vulnstack_compiler::{compile, CompileOpts};
 use vulnstack_core::report::{pct, pct2, Table};
-use vulnstack_core::{JournalOpts, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
+use vulnstack_core::{JournalOpts, Quarantine, ResumeMode, ResumeStats, RunPolicy, StreamOpts};
 use vulnstack_gefin::{
     avf_campaign_models_streamed, default_threads, pvf_campaign_streamed, FuncPrepared,
     InjectionPlan, Prepared, PruneStats, PvfMode,
@@ -224,9 +224,8 @@ impl Opts {
     }
 }
 
-/// Prints the resume accounting and any quarantined sites of a journaled
-/// campaign.
-fn report_resume(journal: &Path, stats: &ResumeStats, quarantined: &[vulnstack_core::Quarantine]) {
+/// Prints the resume accounting of a journaled campaign.
+fn report_journal(journal: &Path, stats: &ResumeStats) {
     println!(
         "journal {}: {} replayed, {} executed{}",
         journal.display(),
@@ -238,9 +237,14 @@ fn report_resume(journal: &Path, stats: &ResumeStats, quarantined: &[vulnstack_c
             String::new()
         }
     );
+}
+
+/// Warns about a campaign's quarantined sites, journaled or not: their
+/// records are missing from the printed tallies.
+fn warn_quarantined(campaign: &str, quarantined: &[Quarantine]) {
     for q in quarantined {
         eprintln!(
-            "warning: site {} quarantined after {} attempt(s): {}",
+            "warning: {campaign} site {} quarantined after {} attempt(s): {}",
             q.index, q.attempts, q.message
         );
     }
@@ -494,11 +498,11 @@ fn run(args: &[String]) -> Result<(), String> {
             // single-table report; multi-model or exhaustive campaigns
             // add per-model tables. Either way every campaign streams
             // through the bounded sink (records never collect in RAM),
-            // and the streamed engine keeps the legacy journal
-            // fingerprints bit-for-bit.
+            // and journal fingerprints stay pinned
+            // (`tests/resume_equivalence.rs`).
             let legacy = models == [FaultModel::BitFlip]
                 && !matches!(plan, InjectionPlan::Exhaustive { .. });
-            let mut resume_report: Option<(ResumeStats, Vec<vulnstack_core::Quarantine>)> = None;
+            let mut resume_report: Option<ResumeStats> = None;
             let mut prune_report: Vec<(&'static str, PruneStats)> = Vec::new();
             let mut model_report: Vec<ModelReport> = Vec::new();
             for st in structures {
@@ -526,8 +530,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     pct2(r.avf().total()),
                     pct(r.hvf()),
                 ]);
+                warn_quarantined(st.name(), &r.quarantined);
                 if journal.is_some() {
-                    resume_report = Some((r.stats, r.quarantined));
+                    resume_report = Some(r.stats);
                 }
                 model_report.push((st.name(), r.per_model));
             }
@@ -582,8 +587,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     s.runaway_terminated
                 );
             }
-            if let (Some(jopts), Some((stats, quarantined))) = (&journal, &resume_report) {
-                report_resume(jopts.path, stats, quarantined);
+            if let (Some(jopts), Some(stats)) = (&journal, &resume_report) {
+                report_journal(jopts.path, stats);
             }
             Ok(())
         }
@@ -618,8 +623,9 @@ fn run(args: &[String]) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             if let Some(jopts) = &journal {
-                report_resume(jopts.path, &out.stats, &out.quarantined);
+                report_journal(jopts.path, &out.stats);
             }
+            warn_quarantined(&format!("PVF[{mode}]"), &out.quarantined);
             let vf = out.tally.vf();
             println!(
                 "{name} PVF[{mode}] on {isa}: SDC {} Crash {} detected {} total {}",
@@ -674,8 +680,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 )
                 .map_err(|e| e.to_string())?;
                 if let Some(jopts) = &journal {
-                    report_resume(jopts.path, &out.stats, &out.quarantined);
+                    report_journal(jopts.path, &out.stats);
                 }
+                warn_quarantined("SVF", &out.quarantined);
                 let vf = out.tally.vf();
                 println!(
                     "{name} SVF: SDC {} Crash {} detected {} total {}",

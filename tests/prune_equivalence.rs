@@ -7,13 +7,13 @@
 //! is only meaningful because these assertions hold.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
-use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunPolicy};
+use vulnstack_core::{JournalError, JournalOpts, ResumeMode, RunPolicy, StreamOpts};
 use vulnstack_gefin::{
-    avf_campaign, avf_campaign_models, avf_campaign_planned, avf_campaign_resumable_planned,
-    per_model_tallies, run_one_model, temporal_campaign, temporal_campaign_pruned, InjectionPlan,
-    Prepared,
+    avf_campaign, avf_campaign_models, avf_campaign_models_streamed, decode_record,
+    per_model_tallies, run_one_model, temporal_campaign, temporal_campaign_pruned, AvfStreamed,
+    InjectionPlan, InjectionRecord, Prepared, PruneStats,
 };
 use vulnstack_microarch::ooo::HwStructure;
 use vulnstack_microarch::{CoreModel, FaultModel};
@@ -70,6 +70,37 @@ fn interrupt_pruned_journal(full: &Path, target: &Path, keep: usize) {
     std::fs::write(target, torn).unwrap();
 }
 
+/// The journaled, pruned bit-flip campaign over `plan`: the campaign,
+/// its pruning accounting, and every record it folded (replayed and
+/// fresh, via the subscriber tee) in sampling order.
+fn pruned_journaled(
+    plan: &InjectionPlan,
+    threads: usize,
+    journal: &JournalOpts<'_>,
+) -> Result<(AvfStreamed, Option<PruneStats>, Vec<InjectionRecord>), JournalError> {
+    let seen = Mutex::new(Vec::new());
+    let tee = |i: u64, p: &str| {
+        let rec = decode_record(p).expect("engine payloads decode");
+        seen.lock().unwrap().push((i, rec));
+    };
+    let (out, stats) = avf_campaign_models_streamed(
+        prep_crc32_a72(),
+        STRUCTURE,
+        plan,
+        &[FaultModel::BitFlip],
+        threads,
+        Some(journal),
+        StreamOpts {
+            tee: Some(&tee),
+            ..StreamOpts::from_env()
+        },
+        None,
+    )?;
+    let mut seen = seen.into_inner().unwrap();
+    seen.sort_by_key(|&(i, _)| i);
+    Ok((out, stats, seen.into_iter().map(|(_, r)| r).collect()))
+}
+
 #[test]
 fn pruned_campaign_is_bit_identical_across_workloads_models_and_threads() {
     for (wid, model) in [
@@ -82,10 +113,11 @@ fn pruned_campaign_is_bit_identical_across_workloads_models_and_threads() {
         let prep = Prepared::new(&w, model).unwrap();
         let full = avf_campaign(&prep, STRUCTURE, N, SEED, 4);
         for threads in [1, 4] {
-            let (pruned, stats) = avf_campaign_planned(
+            let (pruned, stats) = avf_campaign_models(
                 &prep,
                 STRUCTURE,
                 &InjectionPlan::Pruned { n: N, seed: SEED },
+                &[FaultModel::BitFlip],
                 threads,
                 None,
             );
@@ -228,16 +260,9 @@ fn pruned_kill_and_resume_is_bit_identical() {
     // Uninterrupted pruned journaled run matches the plain full campaign.
     let full = tmp("pruned-full.journal");
     let _ = std::fs::remove_file(&full);
-    let (out, stats) = avf_campaign_resumable_planned(
-        prep,
-        STRUCTURE,
-        &plan,
-        4,
-        &opts(&full, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
-    assert_eq!(out.result.records, baseline.records);
+    let (out, stats, records) =
+        pruned_journaled(&plan, 4, &opts(&full, ResumeMode::Fresh)).unwrap();
+    assert_eq!(records, baseline.records);
     assert_eq!(out.stats.executed, N);
     assert!(out.quarantined.is_empty());
     assert!(stats.expect("pruned stats").sites_pruned() > 0);
@@ -248,17 +273,10 @@ fn pruned_kill_and_resume_is_bit_identical() {
     for threads in [1, 4] {
         let path = tmp(&format!("pruned-killed-t{threads}.journal"));
         interrupt_pruned_journal(&full, &path, 9);
-        let (resumed, _) = avf_campaign_resumable_planned(
-            prep,
-            STRUCTURE,
-            &plan,
-            threads,
-            &opts(&path, ResumeMode::ResumeRequired),
-            None,
-        )
-        .unwrap();
+        let (resumed, _, records) =
+            pruned_journaled(&plan, threads, &opts(&path, ResumeMode::ResumeRequired)).unwrap();
         assert_eq!(
-            resumed.result.records, baseline.records,
+            records, baseline.records,
             "threads={threads}: resumed pruned records must be bit-identical"
         );
         assert_eq!(resumed.stats.replayed, 9, "threads={threads}");
@@ -276,19 +294,10 @@ fn pruned_kill_and_resume_is_bit_identical() {
 
 #[test]
 fn pruned_resume_refuses_a_damaged_class_table() {
-    let prep = prep_crc32_a72();
     let plan = InjectionPlan::Pruned { n: N, seed: SEED };
     let path = tmp("pruned-damaged-meta.journal");
     let _ = std::fs::remove_file(&path);
-    avf_campaign_resumable_planned(
-        prep,
-        STRUCTURE,
-        &plan,
-        4,
-        &opts(&path, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
+    pruned_journaled(&plan, 4, &opts(&path, ResumeMode::Fresh)).unwrap();
 
     // Corrupt one byte of the class-table metadata payload. The line
     // checksum no longer verifies, the journal truncates there, and the
@@ -309,15 +318,7 @@ fn pruned_resume_refuses_a_damaged_class_table() {
         .collect();
     std::fs::write(&path, format!("{}\n", damaged.join("\n"))).unwrap();
 
-    let err = avf_campaign_resumable_planned(
-        prep,
-        STRUCTURE,
-        &plan,
-        4,
-        &opts(&path, ResumeMode::ResumeRequired),
-        None,
-    )
-    .unwrap_err();
+    let err = pruned_journaled(&plan, 4, &opts(&path, ResumeMode::ResumeRequired)).unwrap_err();
     match err {
         JournalError::MetaMismatch {
             key,

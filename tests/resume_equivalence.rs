@@ -6,22 +6,24 @@
 //! uninterrupted run. Verified here for both injection engines (gefin
 //! AVF and llfi SVF) by truncating a completed journal back to a torn
 //! prefix, resuming, and comparing records and journal contents; plus
-//! the fingerprint refusal and panic-quarantine guarantees.
+//! the fingerprint refusal, panic-quarantine and pinned-identity
+//! guarantees.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use vulnstack_core::journal::{fnv1a64, Journal};
 use vulnstack_core::{
-    FaultEffect, Fingerprint, JournalError, JournalOpts, ResumableCampaign, ResumeMode, RunPolicy,
-    StreamOpts,
+    Admission, Campaign, ClaimGate, FaultEffect, Fingerprint, JournalError, JournalOpts,
+    ResumeMode, RunPolicy, StreamOpts,
 };
 use vulnstack_gefin::{
-    avf_campaign, avf_campaign_models, avf_campaign_models_resumable, avf_campaign_models_streamed,
-    avf_campaign_resumable, decode_record, draw_sites, encode_record, InjectionPlan,
-    InjectionRecord, Prepared,
+    avf_campaign, avf_campaign_models, avf_campaign_models_streamed, decode_record, draw_sites,
+    encode_record, pvf_campaign_streamed, temporal_campaign_streamed, AvfStreamed, FuncPrepared,
+    InjectionPlan, InjectionRecord, Prepared, PvfMode,
 };
-use vulnstack_llfi::{svf_campaign, svf_campaign_resumable, svf_campaign_streamed};
+use vulnstack_isa::Isa;
+use vulnstack_llfi::{svf_campaign, svf_campaign_streamed};
 use vulnstack_microarch::ooo::{Fpm, HwStructure};
 use vulnstack_microarch::{CoreModel, FaultModel};
 use vulnstack_workloads::{Workload, WorkloadId};
@@ -79,25 +81,57 @@ fn interrupt_journal(full: &Path, target: &Path, keep: usize) {
     std::fs::write(target, torn).unwrap();
 }
 
+/// Runs the journaled AVF engine over `plan` × `models` on the test
+/// structure and returns the campaign together with every record it
+/// folded — replayed and fresh, as the subscriber tee sees them — in
+/// sampling order.
+fn avf_journaled(
+    plan: &InjectionPlan,
+    models: &[FaultModel],
+    threads: usize,
+    journal: &JournalOpts<'_>,
+) -> Result<(AvfStreamed, Vec<InjectionRecord>), JournalError> {
+    let seen = Mutex::new(Vec::new());
+    let tee = |i: u64, p: &str| {
+        let rec = decode_record(p).expect("engine payloads decode");
+        seen.lock().unwrap().push((i, rec));
+    };
+    let stream = StreamOpts {
+        tee: Some(&tee),
+        ..StreamOpts::from_env()
+    };
+    let (out, _) = avf_campaign_models_streamed(
+        prep(),
+        STRUCTURE,
+        plan,
+        models,
+        threads,
+        Some(journal),
+        stream,
+        None,
+    )?;
+    let mut seen = seen.into_inner().unwrap();
+    seen.sort_by_key(|&(i, _)| i);
+    Ok((out, seen.into_iter().map(|(_, r)| r).collect()))
+}
+
+const SAMPLED: InjectionPlan = InjectionPlan::Sampled { n: N, seed: SEED };
+
 #[test]
 fn gefin_kill_and_resume_is_bit_identical_across_thread_counts() {
-    let prep = prep();
-    let baseline = avf_campaign(prep, STRUCTURE, N, SEED, 4);
+    let baseline = avf_campaign(prep(), STRUCTURE, N, SEED, 4);
 
     // Uninterrupted journaled run: records match the plain campaign.
     let full = tmp("gefin-full.journal");
     let _ = std::fs::remove_file(&full);
-    let out = avf_campaign_resumable(
-        prep,
-        STRUCTURE,
-        N,
-        SEED,
+    let (out, records) = avf_journaled(
+        &SAMPLED,
+        &[FaultModel::BitFlip],
         4,
         &opts(&full, ResumeMode::Fresh),
-        None,
     )
     .unwrap();
-    assert_eq!(out.result.records, baseline.records);
+    assert_eq!(records, baseline.records);
     assert_eq!(out.stats.executed, N);
     assert!(out.quarantined.is_empty());
 
@@ -107,18 +141,15 @@ fn gefin_kill_and_resume_is_bit_identical_across_thread_counts() {
     for threads in [2, 4] {
         let path = tmp(&format!("gefin-killed-t{threads}.journal"));
         interrupt_journal(&full, &path, 9);
-        let resumed = avf_campaign_resumable(
-            prep,
-            STRUCTURE,
-            N,
-            SEED,
+        let (resumed, records) = avf_journaled(
+            &SAMPLED,
+            &[FaultModel::BitFlip],
             threads,
             &opts(&path, ResumeMode::ResumeRequired),
-            None,
         )
         .unwrap();
         assert_eq!(
-            resumed.result.records, baseline.records,
+            records, baseline.records,
             "threads={threads}: resumed records must be bit-identical"
         );
         assert_eq!(resumed.stats.replayed, 9, "threads={threads}");
@@ -139,28 +170,20 @@ fn gefin_kill_and_resume_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn gefin_resume_refuses_a_mismatched_fingerprint() {
-    let prep = prep();
     let path = tmp("gefin-mismatch.journal");
     let _ = std::fs::remove_file(&path);
-    avf_campaign_resumable(
-        prep,
-        STRUCTURE,
-        N,
-        SEED,
-        2,
-        &opts(&path, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
+    let bit_flip = [FaultModel::BitFlip];
+    avf_journaled(&SAMPLED, &bit_flip, 2, &opts(&path, ResumeMode::Fresh)).unwrap();
     // Same journal, different seed: a different campaign entirely.
-    let err = avf_campaign_resumable(
-        prep,
-        STRUCTURE,
-        N,
-        SEED + 1,
+    let reseeded = InjectionPlan::Sampled {
+        n: N,
+        seed: SEED + 1,
+    };
+    let err = avf_journaled(
+        &reseeded,
+        &bit_flip,
         2,
         &opts(&path, ResumeMode::ResumeRequired),
-        None,
     )
     .unwrap_err();
     match err {
@@ -176,14 +199,11 @@ fn gefin_resume_refuses_a_mismatched_fingerprint() {
     let missing = tmp("gefin-missing.journal");
     let _ = std::fs::remove_file(&missing);
     assert!(matches!(
-        avf_campaign_resumable(
-            prep,
-            STRUCTURE,
-            N,
-            SEED,
+        avf_journaled(
+            &SAMPLED,
+            &bit_flip,
             2,
-            &opts(&missing, ResumeMode::ResumeRequired),
-            None,
+            &opts(&missing, ResumeMode::ResumeRequired)
         ),
         Err(JournalError::Missing(_))
     ));
@@ -195,37 +215,30 @@ fn llfi_kill_and_resume_is_bit_identical_across_thread_counts() {
     let w = crc32();
     let n = 30;
     let baseline = svf_campaign(&w.module, &w.input, &w.expected_output, n, SEED, 4);
-
-    let full = tmp("llfi-full.journal");
-    let _ = std::fs::remove_file(&full);
-    let out = svf_campaign_resumable(
-        &w.module,
-        &w.input,
-        &w.expected_output,
-        n,
-        SEED,
-        4,
-        &opts(&full, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
-    assert_eq!(out.tally, baseline);
-    assert_eq!(out.stats.executed, n);
-
-    for threads in [2, 4] {
-        let path = tmp(&format!("llfi-killed-t{threads}.journal"));
-        interrupt_journal(&full, &path, 11);
-        let resumed = svf_campaign_resumable(
+    let svf = |n: usize, threads: usize, journal: &JournalOpts<'_>| {
+        svf_campaign_streamed(
             &w.module,
             &w.input,
             &w.expected_output,
             n,
             SEED,
             threads,
-            &opts(&path, ResumeMode::ResumeRequired),
+            Some(journal),
+            StreamOpts::from_env(),
             None,
         )
-        .unwrap();
+    };
+
+    let full = tmp("llfi-full.journal");
+    let _ = std::fs::remove_file(&full);
+    let out = svf(n, 4, &opts(&full, ResumeMode::Fresh)).unwrap();
+    assert_eq!(out.tally, baseline);
+    assert_eq!(out.stats.executed, n);
+
+    for threads in [2, 4] {
+        let path = tmp(&format!("llfi-killed-t{threads}.journal"));
+        interrupt_journal(&full, &path, 11);
+        let resumed = svf(n, threads, &opts(&path, ResumeMode::ResumeRequired)).unwrap();
         assert_eq!(resumed.tally, baseline, "threads={threads}");
         assert_eq!(resumed.stats.replayed, 11);
         assert_eq!(resumed.stats.executed, n - 11);
@@ -240,24 +253,14 @@ fn llfi_kill_and_resume_is_bit_identical_across_thread_counts() {
 
     // A mismatched sample count is refused (records from a shorter
     // campaign must never seed a longer one).
-    let err = svf_campaign_resumable(
-        &w.module,
-        &w.input,
-        &w.expected_output,
-        n + 1,
-        SEED,
-        2,
-        &opts(&full, ResumeMode::ResumeRequired),
-        None,
-    )
-    .unwrap_err();
+    let err = svf(n + 1, 2, &opts(&full, ResumeMode::ResumeRequired)).unwrap_err();
     assert!(matches!(err, JournalError::Mismatch { .. }), "{err}");
     let _ = std::fs::remove_file(&full);
 }
 
 /// Journal codec for [`InjectionRecord`] mirroring the engine's own
-/// (`cycle,bit,effect,fpm,fpm_cycle,model`) — the integration test
-/// drives the core orchestrator directly so it can poison one site.
+/// (`cycle,bit,effect,fpm,fpm_cycle,model`): an independent spelling of
+/// the on-disk record format that the engine codec must agree with.
 fn encode(r: &InjectionRecord) -> String {
     format!(
         "{},{},{},{},{},{}",
@@ -295,6 +298,10 @@ fn decode(s: &str) -> Option<InjectionRecord> {
     })
 }
 
+/// Panic quarantine through the campaign driver every `_streamed`
+/// engine runs on, with a journal: the engines expose no runner hook, so
+/// the test drives [`Campaign`] directly over real gefin sites with one
+/// deliberately poisoned injection.
 #[test]
 fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
     let prep = prep();
@@ -313,57 +320,64 @@ fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
         params: String::new(),
         version: 1,
     };
-    let campaign = ResumableCampaign {
-        path: &path,
-        fingerprint,
-        mode: ResumeMode::Fresh,
+    let journal = JournalOpts {
+        policy: RunPolicy { max_retries: 1 },
+        ..opts(&path, ResumeMode::Fresh)
+    };
+    let mut campaign = Campaign {
         items: &sites,
         order: &order,
         threads: 4,
-        policy: RunPolicy { max_retries: 1 },
-        meta: &[],
+        journal: Some(journal.bind(fingerprint, Vec::new())),
     };
     let poisoned = 3usize;
+    let mut records: Vec<(u64, InjectionRecord)> = Vec::new();
     let out = campaign
         .run(
+            StreamOpts::from_env(),
             |i, &(cycle, bit)| {
                 // One deliberately poisoned injection among real runs.
                 assert!(i != poisoned, "injector blew up on site {i}");
                 vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit)
             },
-            encode,
-            decode,
+            encode_record,
+            decode_record,
+            |i, p| records.push((i, decode_record(p).unwrap())),
             None,
         )
         .unwrap();
 
     // The campaign completed: every healthy site carries its real
     // record, the poisoned one a quarantine marker.
-    assert_eq!(out.outcomes.len(), N);
-    let quarantined = out.quarantined();
-    assert_eq!(quarantined.len(), 1);
-    assert_eq!(quarantined[0].index, poisoned);
-    assert_eq!(quarantined[0].attempts, 2, "1 try + 1 retry");
-    assert!(quarantined[0].message.contains("blew up on site 3"));
-    for (i, outcome) in out.outcomes.iter().enumerate() {
-        if i != poisoned {
-            assert_eq!(outcome.done(), Some(&baseline.records[i]), "site {i}");
-        }
-    }
+    assert_eq!(out.quarantined.len(), 1);
+    assert_eq!(out.quarantined[0].index, poisoned);
+    assert_eq!(out.quarantined[0].attempts, 2, "1 try + 1 retry");
+    assert!(out.quarantined[0].message.contains("blew up on site 3"));
+    records.sort_by_key(|&(i, _)| i);
+    let want: Vec<(u64, InjectionRecord)> = baseline
+        .records
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != poisoned)
+        .map(|(i, r)| (i as u64, *r))
+        .collect();
+    assert_eq!(records, want);
 
     // Resuming replays the quarantine durably instead of re-running the
     // poison site: zero executions, same outcome.
-    let resumed = ResumableCampaign {
-        mode: ResumeMode::ResumeRequired,
-        ..campaign
+    if let Some(j) = campaign.journal.as_mut() {
+        j.mode = ResumeMode::ResumeRequired;
     }
-    .run(
-        |_, &(cycle, bit)| vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit),
-        encode,
-        decode,
-        None,
-    )
-    .unwrap();
+    let resumed = campaign
+        .run(
+            StreamOpts::from_env(),
+            |_, &(cycle, bit)| vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit),
+            encode_record,
+            decode_record,
+            |_, _| {},
+            None,
+        )
+        .unwrap();
     assert_eq!(resumed.stats.executed, 0);
     assert_eq!(resumed.stats.replayed, N);
     assert_eq!(resumed.stats.quarantined, 1);
@@ -372,9 +386,8 @@ fn a_panicking_injection_is_quarantined_and_the_campaign_completes() {
 
 #[test]
 fn mixed_model_kill_and_resume_is_bit_identical() {
-    let prep = prep();
     let plan = InjectionPlan::Pruned { n: N, seed: SEED };
-    let (baseline, _) = avf_campaign_models(prep, STRUCTURE, &plan, &FaultModel::ALL, 4, None);
+    let (baseline, _) = avf_campaign_models(prep(), STRUCTURE, &plan, &FaultModel::ALL, 4, None);
     // The drawn campaign really mixes models — otherwise this test
     // degenerates to the single-model one above.
     let models_seen: std::collections::BTreeSet<&str> =
@@ -386,17 +399,9 @@ fn mixed_model_kill_and_resume_is_bit_identical() {
 
     let full = tmp("gefin-models-full.journal");
     let _ = std::fs::remove_file(&full);
-    let (out, _) = avf_campaign_models_resumable(
-        prep,
-        STRUCTURE,
-        &plan,
-        &FaultModel::ALL,
-        4,
-        &opts(&full, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
-    assert_eq!(out.result.records, baseline.records);
+    let (out, records) =
+        avf_journaled(&plan, &FaultModel::ALL, 4, &opts(&full, ResumeMode::Fresh)).unwrap();
+    assert_eq!(records, baseline.records);
     assert_eq!(out.stats.executed, N);
 
     // Kill after 7 settled sites, resume at a different thread count:
@@ -407,18 +412,15 @@ fn mixed_model_kill_and_resume_is_bit_identical() {
     for threads in [2, 4] {
         let path = tmp(&format!("gefin-models-killed-t{threads}.journal"));
         interrupt_journal(&full, &path, 8);
-        let (resumed, _) = avf_campaign_models_resumable(
-            prep,
-            STRUCTURE,
+        let (resumed, records) = avf_journaled(
             &plan,
             &FaultModel::ALL,
             threads,
             &opts(&path, ResumeMode::ResumeRequired),
-            None,
         )
         .unwrap();
         assert_eq!(
-            resumed.result.records, baseline.records,
+            records, baseline.records,
             "threads={threads}: resumed mixed-model records must be bit-identical"
         );
         assert_eq!(resumed.stats.replayed, 7, "threads={threads}");
@@ -436,30 +438,17 @@ fn mixed_model_kill_and_resume_is_bit_identical() {
 
 #[test]
 fn a_changed_model_set_is_refused_on_resume() {
-    let prep = prep();
     let plan = InjectionPlan::Pruned { n: N, seed: SEED };
     let path = tmp("gefin-models-mismatch.journal");
     let _ = std::fs::remove_file(&path);
-    avf_campaign_models_resumable(
-        prep,
-        STRUCTURE,
-        &plan,
-        &FaultModel::ALL,
-        2,
-        &opts(&path, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
+    avf_journaled(&plan, &FaultModel::ALL, 2, &opts(&path, ResumeMode::Fresh)).unwrap();
     // Same plan, same seed, smaller model set: different site space —
     // the fingerprint must refuse, never silently mix campaigns.
-    let err = avf_campaign_models_resumable(
-        prep,
-        STRUCTURE,
+    let err = avf_journaled(
         &plan,
         &[FaultModel::BitFlip, FaultModel::StuckAt],
         2,
         &opts(&path, ResumeMode::ResumeRequired),
-        None,
     )
     .unwrap_err();
     match err {
@@ -520,91 +509,162 @@ fn record_codec_round_trips_over_every_model() {
     assert_eq!(decode_record("5,6,Sdc,WD,9,gamma-ray"), None);
 }
 
-/// The streamed engines keep the legacy journal fingerprints and record
-/// encodings bit-for-bit: a journal written by the streaming sink is
-/// byte-interchangeable with a legacy-written one (header included), so
-/// either path can kill-and-resume the other's campaigns.
+/// A gate that admits nothing: the campaign opens its journal, writes
+/// its identity, and stops before the first site.
+struct Closed;
+
+impl ClaimGate for Closed {
+    fn admit(&self) -> Admission {
+        Admission::Stop
+    }
+
+    fn release(&self) {}
+}
+
+/// The identity lines of a journal: its header and any metadata lines.
+fn identity(path: &Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("vulnstack-journal|") || l.starts_with("M|"))
+        .map(String::from)
+        .collect()
+}
+
+const CLASS_TABLE: &str = "M|class-table|fnv=603bf2c3ee8ae5e6|e85b2392330a2a8b";
+
+/// Every engine writes the journal identity it wrote before the single
+/// campaign driver existed, byte for byte: the header line (the
+/// fingerprint) and, for pruned campaigns, the `class-table` metadata
+/// line. Journals already on disk — CLI runs, daemon state directories
+/// — stay resumable only while these lines hold. The pinned lines were
+/// captured from the previous journal writer on these exact campaigns.
 #[test]
-fn streamed_journals_are_byte_interchangeable_with_legacy_journals() {
-    let prep = prep();
-    let plan = InjectionPlan::Sampled { n: N, seed: SEED };
-
-    // Legacy writer, then the streamed engine writes the same campaign.
-    let legacy_path = tmp("interop-legacy.journal");
-    let _ = std::fs::remove_file(&legacy_path);
-    let legacy = avf_campaign_resumable(
-        prep,
-        STRUCTURE,
-        N,
-        SEED,
-        4,
-        &opts(&legacy_path, ResumeMode::Fresh),
-        None,
-    )
-    .unwrap();
-    let streamed_path = tmp("interop-streamed.journal");
-    let _ = std::fs::remove_file(&streamed_path);
-    let (out, _) = avf_campaign_models_streamed(
-        prep,
-        STRUCTURE,
-        &plan,
-        &[FaultModel::BitFlip],
-        4,
-        Some(&opts(&streamed_path, ResumeMode::Fresh)),
-        StreamOpts::from_env(),
-        None,
-    )
-    .unwrap();
-    assert_eq!(out.tally, legacy.result.tally);
-    assert_eq!(out.stats.executed, N);
-
-    // Same header line (the fingerprint), same sorted entry set.
-    let header = |p: &Path| {
-        std::fs::read_to_string(p)
-            .unwrap()
-            .lines()
-            .next()
-            .unwrap()
-            .to_string()
+fn journal_identities_are_pinned() {
+    let closed = Closed;
+    let stream = || StreamOpts {
+        gate: Some(&closed),
+        ..StreamOpts::from_env()
     };
-    assert_eq!(
-        header(&streamed_path),
-        header(&legacy_path),
-        "streamed and legacy fingerprints must be identical"
-    );
-    assert_eq!(sorted_entries(&streamed_path), sorted_entries(&legacy_path));
+    let w = crc32();
+    let check = |case: &str, path: &Path, want: &[&str]| {
+        assert_eq!(identity(path), want, "{case}: journal identity changed");
+        let _ = std::fs::remove_file(path);
+    };
 
-    // Cross-resume both ways: each engine replays the other's journal
-    // fully, executing nothing.
-    let resumed_legacy = avf_campaign_resumable(
-        prep,
-        STRUCTURE,
-        N,
+    let avf_cases: [(&str, InjectionPlan, &[FaultModel], &[&str]); 3] = [
+        (
+            "gefin-avf sampled bit-flip",
+            SAMPLED,
+            &[FaultModel::BitFlip],
+            &["vulnstack-journal|1|0b8ea63c3928e7de|engine=gefin-avf;workload=crc32;config=A72;structure=RF;seed=11;samples=24;params=golden_cycles=67174;output=a92687630c3c5f30;models=bit-flip;version=2|cb0a3ad3a5e07249"],
+        ),
+        (
+            "gefin-avf pruned bit-flip",
+            InjectionPlan::Pruned { n: N, seed: SEED },
+            &[FaultModel::BitFlip],
+            &["vulnstack-journal|1|ab495443040f225f|engine=gefin-avf;workload=crc32;config=A72;structure=RF;seed=11;samples=24;params=golden_cycles=67174;output=a92687630c3c5f30;models=bit-flip;plan=pruned;version=2|5039d574b8de1a54", CLASS_TABLE],
+        ),
+        (
+            "gefin-avf exhaustive all models",
+            InjectionPlan::Exhaustive { cycle: 1000 },
+            &FaultModel::ALL,
+            &["vulnstack-journal|1|d09f72a5364b94e8|engine=gefin-avf;workload=crc32;config=A72;structure=RF;seed=0;samples=17409;params=golden_cycles=67174;output=a92687630c3c5f30;models=bit-flip+byte-corrupt+instr-skip+stuck-at;plan=exhaustive@1000;version=2|be40c2900021bd1d", CLASS_TABLE],
+        ),
+    ];
+    for (case, plan, models, want) in avf_cases {
+        let path = tmp("identity-avf.journal");
+        let j = opts(&path, ResumeMode::Fresh);
+        let (out, _) = avf_campaign_models_streamed(
+            prep(),
+            STRUCTURE,
+            &plan,
+            models,
+            2,
+            Some(&j),
+            stream(),
+            None,
+        )
+        .unwrap();
+        assert!(out.stats.stopped && out.stats.executed == 0, "{case}");
+        check(case, &path, want);
+    }
+
+    let path = tmp("identity-pvf.journal");
+    let fprep = FuncPrepared::new(w, Isa::Va64).unwrap();
+    let j = opts(&path, ResumeMode::Fresh);
+    pvf_campaign_streamed(&fprep, PvfMode::Wd, N, SEED, 2, Some(&j), stream(), None).unwrap();
+    check(
+        "gefin-pvf",
+        &path,
+        &["vulnstack-journal|1|19d7b0adc34f1865|engine=gefin-pvf;workload=crc32;config=va64;structure=-;seed=11;samples=24;params=mode=WD;golden_instrs=133052;output=a92687630c3c5f30;version=2|8bc3c32a093430f7"],
+    );
+
+    let sweeps: [(bool, &[&str]); 2] = [
+        (false, &["vulnstack-journal|1|4f755ba5216c9d77|engine=gefin-sweep;workload=crc32;config=A72;structure=RF;seed=11;samples=12;params=windows=3;per_window=4;golden_cycles=67174;output=a92687630c3c5f30;version=2|c9b8d25f5083ed7b"]),
+        (true, &["vulnstack-journal|1|697852e9925edf36|engine=gefin-sweep;workload=crc32;config=A72;structure=RF;seed=11;samples=12;params=windows=3;per_window=4;golden_cycles=67174;output=a92687630c3c5f30;plan=pruned;version=2|78283504ded3c92f", CLASS_TABLE]),
+    ];
+    for (pruned, want) in sweeps {
+        let path = tmp("identity-sweep.journal");
+        let j = opts(&path, ResumeMode::Fresh);
+        temporal_campaign_streamed(
+            prep(),
+            STRUCTURE,
+            3,
+            4,
+            SEED,
+            2,
+            pruned,
+            Some(&j),
+            stream(),
+            None,
+        )
+        .unwrap();
+        check(&format!("gefin-sweep pruned={pruned}"), &path, want);
+    }
+
+    let path = tmp("identity-svf.journal");
+    let j = opts(&path, ResumeMode::Fresh);
+    svf_campaign_streamed(
+        &w.module,
+        &w.input,
+        &w.expected_output,
+        30,
         SEED,
         2,
-        &opts(&streamed_path, ResumeMode::ResumeRequired),
+        Some(&j),
+        stream(),
         None,
     )
     .unwrap();
-    assert_eq!(resumed_legacy.stats.replayed, N);
-    assert_eq!(resumed_legacy.stats.executed, 0);
-    assert_eq!(resumed_legacy.result.records, legacy.result.records);
-    let (resumed_streamed, _) = avf_campaign_models_streamed(
-        prep,
-        STRUCTURE,
-        &plan,
-        &[FaultModel::BitFlip],
+    check(
+        "llfi-svf",
+        &path,
+        &["vulnstack-journal|1|719d6357d244f04b|engine=llfi-svf;workload=crc32;config=vir;structure=-;seed=11;samples=30;params=injectable=71690;output=a92687630c3c5f30;models=bit-flip;version=2|e670be5610ff05c1"],
+    );
+
+    let path = tmp("identity-svf-ft.journal");
+    let j = JournalOpts {
+        workload: "crc32+ft",
+        ..opts(&path, ResumeMode::Fresh)
+    };
+    vulnstack_ft::svf_campaign_streamed_hardened(
+        &w.module,
+        &w.input,
+        &w.expected_output,
+        30,
+        SEED,
         2,
-        Some(&opts(&legacy_path, ResumeMode::ResumeRequired)),
-        StreamOpts::from_env(),
+        Some(&j),
+        stream(),
         None,
     )
     .unwrap();
-    assert_eq!(resumed_streamed.stats.replayed, N);
-    assert_eq!(resumed_streamed.stats.executed, 0);
-    assert_eq!(resumed_streamed.tally, legacy.result.tally);
-    let _ = std::fs::remove_file(&legacy_path);
-    let _ = std::fs::remove_file(&streamed_path);
+    check(
+        "svf+ft",
+        &path,
+        &["vulnstack-journal|1|aad043fa003642a9|engine=llfi-svf;workload=crc32+ft;config=vir;structure=-;seed=11;samples=30;params=injectable=150554;output=a92687630c3c5f30;models=bit-flip;version=2|18aed10a826cd2e6"],
+    );
 }
 
 /// Kill-and-resume through the streaming sink: interrupting a streamed

@@ -1,17 +1,22 @@
 //! Streaming-equivalence: the bounded-memory sink pipeline must be an
 //! *observationally invisible* refactor. For every engine family the
 //! streamed campaign's tallies — and, via the spill file, its full
-//! record stream — must be bit-identical to the legacy
-//! collect-then-write path, through the tightest possible channel
-//! (capacity 1, maximum backpressure), through panics mid-stream, and
-//! under memory-quota shedding (which may drop telemetry spans but
-//! never records).
+//! record stream — must be bit-identical to the in-memory reference
+//! campaign that collects every record, through the tightest possible
+//! channel (capacity 1, maximum backpressure), through panics
+//! mid-stream (journaled or not), under admission-gate stops, and under
+//! memory-quota shedding (which may drop telemetry spans but never
+//! records).
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use vulnstack_core::trace::CampaignMetrics;
-use vulnstack_core::{Fingerprint, MemQuota, ResumableCampaign, ResumeMode, RunPolicy, StreamOpts};
+use vulnstack_core::{
+    Admission, Campaign, ClaimGate, Fingerprint, JournalOpts, MemQuota, ResumeMode, RunPolicy,
+    StreamOpts,
+};
 use vulnstack_gefin::{
     avf_campaign, avf_campaign_models, avf_campaign_models_streamed, draw_sites, encode_record,
     per_model_tallies, pvf_campaign, pvf_campaign_streamed, temporal_campaign,
@@ -240,28 +245,31 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
         params: String::new(),
         version: 1,
     };
-    let campaign = ResumableCampaign {
+    let journal = JournalOpts {
         path: &path,
-        fingerprint,
         mode: ResumeMode::Fresh,
+        policy: RunPolicy { max_retries: 1 },
+        workload: "crc32",
+    };
+    let mut campaign = Campaign {
         items: &sites,
         order: &order,
         threads: 4,
-        policy: RunPolicy { max_retries: 1 },
-        meta: &[],
+        journal: Some(journal.bind(fingerprint, Vec::new())),
     };
     let poisoned = 3usize;
     let mut folded = 0usize;
+    let cap1 = StreamOpts {
+        channel_cap: 1,
+        spill: None,
+        gate: None,
+        tee: None,
+    };
     // Capacity 1: the panic happens while other workers are blocked on
     // the full channel, the worst interleaving for a stalled sink.
     let out = campaign
-        .run_streaming(
-            StreamOpts {
-                channel_cap: 1,
-                spill: None,
-                gate: None,
-                tee: None,
-            },
+        .run(
+            cap1,
             |i, &(cycle, bit)| {
                 assert!(i != poisoned, "injector blew up on site {i}");
                 vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit)
@@ -280,39 +288,146 @@ fn a_panic_mid_stream_quarantines_without_stalling_the_pipeline() {
     assert_eq!(out.stats.executed, N);
 
     // Resume: the quarantine replays durably, the healthy records fold
-    // again bit-identically (checked against the legacy campaign).
-    let mut replayed: Vec<(u64, String)> = Vec::new();
-    let resumed = ResumableCampaign {
-        mode: ResumeMode::ResumeRequired,
-        ..campaign
+    // again bit-identically (checked against the in-memory campaign).
+    if let Some(j) = campaign.journal.as_mut() {
+        j.mode = ResumeMode::ResumeRequired;
     }
-    .run_streaming(
-        StreamOpts {
-            channel_cap: 1,
-            spill: None,
-            gate: None,
-            tee: None,
-        },
-        |_, &(cycle, bit)| vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit),
-        encode_record,
-        vulnstack_gefin::decode_record,
-        |i, p| replayed.push((i, p.to_string())),
-        None,
-    )
-    .unwrap();
+    let mut replayed: Vec<(u64, String)> = Vec::new();
+    let resumed = campaign
+        .run(
+            cap1,
+            |_, &(cycle, bit)| vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit),
+            encode_record,
+            vulnstack_gefin::decode_record,
+            |i, p| replayed.push((i, p.to_string())),
+            None,
+        )
+        .unwrap();
     assert_eq!(resumed.stats.executed, 0);
     assert_eq!(resumed.stats.replayed, N);
     assert_eq!(resumed.stats.quarantined, 1);
     replayed.sort();
-    let want: Vec<(u64, String)> = baseline
-        .records
+    assert_eq!(replayed, encoded_without(&baseline.records, poisoned));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `(site index, encoded record)` pairs of `records`, minus one site.
+fn encoded_without(
+    records: &[vulnstack_gefin::InjectionRecord],
+    skip: usize,
+) -> Vec<(u64, String)> {
+    records
         .iter()
         .enumerate()
-        .filter(|(i, _)| *i != poisoned)
+        .filter(|&(i, _)| i != skip)
         .map(|(i, r)| (i as u64, encode_record(r)))
-        .collect();
-    assert_eq!(replayed, want);
-    let _ = std::fs::remove_file(&path);
+        .collect()
+}
+
+/// Without a journal the campaign has the same fault domain: a poisoned
+/// site is quarantined after the default retries instead of aborting the
+/// process, and every other record is bit-identical.
+#[test]
+fn an_unjournaled_panic_is_quarantined_and_spares_every_other_record() {
+    let prep = prep();
+    let sites = draw_sites(prep, STRUCTURE, N, SEED);
+    let order: Vec<usize> = (0..sites.len()).collect();
+    let baseline = avf_campaign(prep, STRUCTURE, N, SEED, 4);
+    let spill = tmp("unjournaled-poison.records");
+    let poisoned = 5usize;
+    let attempts = AtomicUsize::new(0);
+    let out = Campaign {
+        items: &sites,
+        order: &order,
+        threads: 4,
+        journal: None,
+    }
+    .run(
+        spill_opts(1, &spill),
+        |i, &(cycle, bit)| {
+            if i == poisoned {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                panic!("injector blew up on site {i}");
+            }
+            vulnstack_gefin::avf::run_one(prep, STRUCTURE, cycle, bit)
+        },
+        encode_record,
+        vulnstack_gefin::decode_record,
+        |_, _| {},
+        None,
+    )
+    .unwrap();
+    let tries = RunPolicy::default().max_retries + 1;
+    assert_eq!(attempts.load(Ordering::Relaxed), tries as usize);
+    assert_eq!(out.quarantined.len(), 1);
+    assert_eq!(out.quarantined[0].index, poisoned);
+    assert_eq!(out.quarantined[0].attempts, tries);
+    assert_eq!(out.stats.executed, N);
+    assert_eq!(out.stats.quarantined, 1);
+    let handle = out.records.expect("spill requested");
+    assert_eq!(
+        spilled_by_index(&handle),
+        encoded_without(&baseline.records, poisoned),
+        "every healthy record must be bit-identical"
+    );
+    let _ = std::fs::remove_file(&spill);
+}
+
+/// Admits the first `k` claims, then stops: a cancelled campaign.
+struct StopAfter(AtomicUsize);
+
+impl ClaimGate for StopAfter {
+    fn admit(&self) -> Admission {
+        match self
+            .0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |k| k.checked_sub(1))
+        {
+            Ok(_) => Admission::Run,
+            Err(_) => Admission::Stop,
+        }
+    }
+
+    fn release(&self) {}
+}
+
+/// The admission gate governs unjournaled campaigns too: cancellation
+/// and fair-share admission reach every run, not only journaled ones.
+#[test]
+fn an_unjournaled_campaign_honours_the_admission_gate() {
+    let prep = prep();
+    let k = 5usize;
+    for threads in [1, 4] {
+        let gate = StopAfter(AtomicUsize::new(k));
+        let spill = tmp(&format!("gated-t{threads}.records"));
+        let metrics = CampaignMetrics::new("gated");
+        let (out, _) = avf_campaign_models_streamed(
+            prep,
+            STRUCTURE,
+            &InjectionPlan::Sampled { n: N, seed: SEED },
+            &[FaultModel::BitFlip],
+            threads,
+            None,
+            StreamOpts {
+                gate: Some(&gate),
+                ..spill_opts(4, &spill)
+            },
+            Some(&metrics),
+        )
+        .unwrap();
+        assert!(
+            out.stats.stopped,
+            "threads={threads}: the stop must be reported"
+        );
+        assert_eq!(out.stats.executed, k, "threads={threads}");
+        assert_eq!(metrics.report().sites, k as u64, "threads={threads}");
+        assert_eq!(out.tally.total(), k as u64, "threads={threads}");
+        assert_eq!(out.records.expect("spill").count(), k as u64);
+        assert!(
+            out.quarantined.is_empty(),
+            "unadmitted sites are not failures"
+        );
+        let _ = std::fs::remove_file(&spill);
+    }
 }
 
 /// Memory-quota pressure sheds telemetry spans (counted degradation),
