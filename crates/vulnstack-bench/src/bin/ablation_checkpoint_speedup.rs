@@ -3,7 +3,9 @@
 //! campaign (Qsort/A72/RegisterFile, n = 200 by default). Verifies along
 //! the way that both engines produce identical per-injection records
 //! (the determinism contract), then writes a JSON speedup record under
-//! `results/` so the bench trajectory (`BENCH_*.json`) accumulates.
+//! `results/` so the bench trajectory (`BENCH_*.json`) accumulates. The
+//! record also carries the median restore cost over `n` evenly spaced
+//! restore cycles and the exact bytes the checkpoint store holds.
 
 use std::time::Instant;
 
@@ -40,6 +42,25 @@ fn main() {
         prep.golden.cycles,
         prep.checkpoints.len(),
         prep.checkpoints.interval(),
+    );
+
+    // Restore cost alone: clone the nearest checkpoint at `n` evenly
+    // spaced cycles, timing the clone and not the drop.
+    let mut restore_us: Vec<f64> = (0..n as u64)
+        .map(|k| {
+            let t = Instant::now();
+            let core = prep.checkpoints.restore(k * prep.golden.cycles / n as u64);
+            let us = t.elapsed().as_secs_f64() * 1e6;
+            drop(core);
+            us
+        })
+        .collect();
+    restore_us.sort_by(f64::total_cmp);
+    let restore_us_p50 = restore_us[restore_us.len() / 2];
+    let store_bytes = prep.checkpoints.resident_bytes();
+    eprintln!(
+        "  restore p50 {restore_us_p50:.1} us, checkpoint store {:.1} MiB",
+        store_bytes as f64 / (1024.0 * 1024.0)
     );
 
     let seed = sub_seed(master, &[id.name(), model.name(), structure.name(), "ckpt"]);
@@ -100,6 +121,7 @@ fn main() {
         "{{\"bench\":\"checkpoint_speedup\",\"workload\":\"{}\",\"model\":\"{}\",\
          \"structure\":\"{}\",\"n\":{},\"threads\":{},\"golden_cycles\":{},\
          \"checkpoints\":{},\"interval\":{},\"prep_secs\":{:.4},\
+         \"restore_us_p50\":{:.1},\"store_bytes\":{},\
          \"scratch_secs\":{:.4},\"ckpt_secs\":{:.4},\"speedup\":{:.3},\
          \"records_identical\":true}}\n",
         id.name(),
@@ -111,6 +133,8 @@ fn main() {
         prep.checkpoints.len(),
         prep.checkpoints.interval(),
         prep_secs,
+        restore_us_p50,
+        store_bytes,
         scratch_secs,
         ckpt_secs,
         speedup,

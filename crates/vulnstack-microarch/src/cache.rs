@@ -11,6 +11,8 @@
 //! byte are corrupted ([`MemTaint`]), so the campaign layer can classify
 //! the first architectural consumption of the fault (WD vs WI/WOI vs ESC).
 
+use std::collections::HashSet;
+use std::ops::Index;
 use std::sync::Arc;
 
 use vulnstack_kernel::memmap;
@@ -25,62 +27,122 @@ pub const LINE: u32 = 64;
 /// [`LINE`], so line-granular fills and writebacks never straddle a page.
 const COW_PAGE: usize = 4096;
 
-/// Flat physical memory stored as reference-counted pages.
+/// Lines per copy-on-write chunk of a cache array: 256 whole lines, LRU
+/// stamp included, make a chunk of about 20 KiB. Smaller chunks share
+/// more finely but have more pointers to copy on restore and more
+/// allocations to make on write: with 64-line chunks, two workers
+/// restoring from one store ran pruned sha/A9 campaigns about a tenth
+/// slower than deep copies did, with ten times the context switches.
+const CHUNK_LINES: usize = 256;
+
+/// A fixed-length array stored as reference-counted chunks of `N`
+/// elements, copied on write. Main memory and the three cache arrays are
+/// instances of it.
 ///
-/// Checkpointing clones whole cores, and a deep copy of the 4 MiB image
-/// would dominate both snapshot cost and restore cost. Pages make the
-/// copy lazy: cloning copies one `Arc` per page (8 KiB of pointers for a
-/// 4 MiB image), snapshots share every page the run never rewrites, and a
-/// write to a shared page copies just that 4 KiB ([`Arc::make_mut`]).
+/// Checkpointing clones whole cores, and a deep copy of main memory and
+/// the cache arrays (about 6.7 MiB on A72, whose L2 is 2 MiB) would
+/// dominate both snapshot and restore cost. Chunks make the copy lazy:
+/// cloning copies one `Arc` per chunk, snapshots share every chunk the
+/// run has not rewritten since, and a write to a shared chunk copies just
+/// that chunk ([`Arc::make_mut`]). Equality short-circuits on shared
+/// chunks, so comparing a core with a clone of the same run compares only
+/// the chunks that diverged.
 #[derive(Debug, Clone)]
-struct CowMem {
-    pages: Vec<Arc<[u8; COW_PAGE]>>,
+struct CowArray<T, const N: usize> {
+    chunks: Vec<Arc<[T; N]>>,
 }
 
-impl PartialEq for CowMem {
+impl<T: PartialEq, const N: usize> PartialEq for CowArray<T, N> {
     fn eq(&self, other: &Self) -> bool {
-        self.pages.len() == other.pages.len()
+        self.chunks.len() == other.chunks.len()
             && self
-                .pages
+                .chunks
                 .iter()
-                .zip(&other.pages)
+                .zip(&other.chunks)
                 .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
     }
 }
 
-impl Eq for CowMem {}
+impl<T: Eq, const N: usize> Eq for CowArray<T, N> {}
 
-impl CowMem {
-    fn new(flat: &[u8]) -> CowMem {
-        assert!(flat.len().is_multiple_of(COW_PAGE));
-        let pages = flat
-            .chunks_exact(COW_PAGE)
-            .map(|c| {
-                let mut p = [0u8; COW_PAGE];
-                p.copy_from_slice(c);
-                Arc::new(p)
-            })
+impl<T, const N: usize> Index<usize> for CowArray<T, N> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i / N][i % N]
+    }
+}
+
+impl<T: Clone, const N: usize> CowArray<T, N> {
+    /// `len` copies of `value`, rounded up to whole chunks. The chunks
+    /// start out as one shared allocation, so an array the run never
+    /// writes costs one chunk.
+    fn filled(len: usize, value: T) -> Self {
+        let chunk = Arc::new(std::array::from_fn(|_| value.clone()));
+        CowArray {
+            chunks: vec![chunk; len.div_ceil(N)],
+        }
+    }
+
+    /// A copy of `flat`, whose length must be a multiple of `N`.
+    fn from_slice(flat: &[T]) -> Self {
+        assert!(flat.len().is_multiple_of(N));
+        let chunks = flat
+            .chunks_exact(N)
+            .map(|c| Arc::new(std::array::from_fn(|i| c[i].clone())))
             .collect();
-        CowMem { pages }
+        CowArray { chunks }
     }
 
-    fn byte(&self, addr: usize) -> u8 {
-        self.pages[addr / COW_PAGE][addr % COW_PAGE]
+    /// Element `i` for writing, copying its chunk first if a clone
+    /// shares it.
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        &mut Arc::make_mut(&mut self.chunks[i / N])[i % N]
     }
 
-    /// Reads `out.len()` bytes at `addr`; the span must not cross a page.
-    fn read(&self, addr: usize, out: &mut [u8]) {
-        let (page, off) = (addr / COW_PAGE, addr % COW_PAGE);
-        debug_assert!(off + out.len() <= COW_PAGE);
-        out.copy_from_slice(&self.pages[page][off..off + out.len()]);
+    /// The `len` elements from `start`; the span must not cross a chunk.
+    fn span(&self, start: usize, len: usize) -> &[T] {
+        let off = start % N;
+        debug_assert!(off + len <= N);
+        &self.chunks[start / N][off..off + len]
     }
 
-    /// Writes `data` at `addr`, copying the page first if it is shared
-    /// with a snapshot; the span must not cross a page.
-    fn write(&mut self, addr: usize, data: &[u8]) {
-        let (page, off) = (addr / COW_PAGE, addr % COW_PAGE);
-        debug_assert!(off + data.len() <= COW_PAGE);
-        Arc::make_mut(&mut self.pages[page])[off..off + data.len()].copy_from_slice(data);
+    /// The `len` elements from `start` for writing, copying the chunk
+    /// first if a clone shares it; the span must not cross a chunk.
+    fn span_mut(&mut self, start: usize, len: usize) -> &mut [T] {
+        let off = start % N;
+        debug_assert!(off + len <= N);
+        &mut Arc::make_mut(&mut self.chunks[start / N])[off..off + len]
+    }
+
+    /// Heap bytes of the array: its chunk pointers plus its chunks. With
+    /// `seen`, a chunk whose allocation is already in the set counts
+    /// nothing and every counted chunk is added to it, so a sum over
+    /// arrays that share chunks counts each chunk once; without it every
+    /// chunk counts in full, the size of a deep copy.
+    fn heap_bytes(&self, seen: Option<&mut HashSet<usize>>) -> usize {
+        // An `Arc` allocation holds the two reference counts, then `[T; N]`.
+        let chunk = 2 * size_of::<usize>() + size_of::<[T; N]>();
+        let counted = match seen {
+            Some(seen) => self
+                .chunks
+                .iter()
+                .filter(|c| seen.insert(Arc::as_ptr(c) as usize))
+                .count(),
+            None => self.chunks.len(),
+        };
+        self.chunks.capacity() * size_of::<Arc<[T; N]>>() + counted * chunk
+    }
+
+    /// Chunks of `self` that are not shared with the chunk at the same
+    /// index of `other`.
+    #[cfg(test)]
+    fn unshared_chunks(&self, other: &Self) -> usize {
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+            .count()
     }
 }
 
@@ -156,7 +218,7 @@ struct Cache {
     sets: u32,
     ways: u32,
     latency: u32,
-    lines: Vec<CacheLine>,
+    lines: CowArray<CacheLine, CHUNK_LINES>,
 }
 
 impl Cache {
@@ -167,7 +229,7 @@ impl Cache {
             sets,
             ways: cfg.ways,
             latency: cfg.latency,
-            lines: vec![CacheLine::default(); (sets * cfg.ways) as usize],
+            lines: CowArray::filled((sets * cfg.ways) as usize, CacheLine::default()),
         }
     }
 
@@ -248,7 +310,7 @@ pub struct MemSystem {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    mem: CowMem,
+    mem: CowArray<u8, COW_PAGE>,
     mem_latency: u32,
     tick: u64,
     taint: Option<MemTaint>,
@@ -265,7 +327,7 @@ impl MemSystem {
             l1i: Cache::new(&cfg.l1i),
             l1d: Cache::new(&cfg.l1d),
             l2: Cache::new(&cfg.l2),
-            mem: CowMem::new(&mem),
+            mem: CowArray::from_slice(&mem),
             mem_latency: cfg.mem_latency,
             tick: 0,
             taint: None,
@@ -284,9 +346,10 @@ impl MemSystem {
     ///
     /// This is the memory half of the early-termination convergence
     /// check. It compares the behavioral state — the interleaved LRU
-    /// clock (`tick`), all three cache arrays (valid/dirty/tag/`last_use`/
-    /// data), and main memory (`CowMem::eq` short-circuits on shared
-    /// pages) — and deliberately *excludes* two observer-only fields:
+    /// clock (`tick`), all three cache arrays (each line's valid, dirty,
+    /// tag, LRU stamp and data) and main memory, where `CowArray::eq`
+    /// skips every chunk or page still shared with `golden` — and
+    /// deliberately *excludes* two observer-only fields:
     ///
     /// * `stats` — hit/miss counters are never read by the simulation, so
     ///   divergent counts cannot change future behavior;
@@ -309,6 +372,17 @@ impl MemSystem {
             && self.mem == golden.mem
     }
 
+    /// Heap bytes of the three cache arrays and main memory, with `seen`
+    /// as in `CowArray::heap_bytes`: each shared chunk or page counts
+    /// once across every call given the same set, and a `None` counts
+    /// them all, the size of a deep copy.
+    pub(crate) fn heap_bytes(&self, mut seen: Option<&mut HashSet<usize>>) -> usize {
+        self.l1i.lines.heap_bytes(seen.as_deref_mut())
+            + self.l1d.lines.heap_bytes(seen.as_deref_mut())
+            + self.l2.lines.heap_bytes(seen.as_deref_mut())
+            + self.mem.heap_bytes(seen)
+    }
+
     fn taint_line_overlap(taint: &Option<MemTaint>, line_addr: u32) -> bool {
         taint.is_some_and(|t| t.addr / LINE == line_addr / LINE)
     }
@@ -329,8 +403,9 @@ impl MemSystem {
             self.stats.l2_hits += 1;
             let set = self.l2.set_of(line_addr);
             let slot = self.l2.slot(set, w);
-            self.l2.lines[slot].last_use = self.tick;
-            let data = self.l2.lines[slot].data;
+            let l = self.l2.lines.get_mut(slot);
+            l.last_use = self.tick;
+            let data = l.data;
             let tainted = self
                 .taint
                 .is_some_and(|t| t.at(Level::L2) && t.addr / LINE == line_addr / LINE);
@@ -339,7 +414,7 @@ impl MemSystem {
         self.stats.l2_misses += 1;
         // Fill from memory.
         let mut data = [0u8; LINE as usize];
-        self.mem.read(line_addr as usize, &mut data);
+        data.copy_from_slice(self.mem.span(line_addr as usize, LINE as usize));
         let from_mem_tainted = self
             .taint
             .is_some_and(|t| t.at(Level::Mem) && t.addr / LINE == line_addr / LINE);
@@ -377,7 +452,9 @@ impl MemSystem {
                 if vdirty {
                     self.stats.writebacks += 1;
                     let vdata = self.l2.lines[self.l2.slot(set, way)].data;
-                    self.mem.write(vaddr as usize, &vdata);
+                    self.mem
+                        .span_mut(vaddr as usize, LINE as usize)
+                        .copy_from_slice(&vdata);
                     self.set_taint(Level::Mem, vaddr, vtainted);
                 }
                 // Corrupted copy dropped (or moved); either way it leaves L2.
@@ -386,7 +463,7 @@ impl MemSystem {
         }
         let slot = self.l2.slot(set, way);
         let tick = self.tick;
-        let l = &mut self.l2.lines[slot];
+        let l = self.l2.lines.get_mut(slot);
         // Re-installing over an existing copy only happens on a writeback
         // (dirty=true); plain fills always target an absent line.
         let keep_dirty = l.valid && l.tag == tag && l.dirty;
@@ -442,7 +519,7 @@ impl MemSystem {
         let slot = c.slot(set, way);
         let new_tag = c.tag_of(line_addr);
         let l1lat = c.latency;
-        let l = &mut c.lines[slot];
+        let l = c.lines.get_mut(slot);
         l.valid = true;
         l.dirty = false;
         l.tag = new_tag;
@@ -474,9 +551,10 @@ impl MemSystem {
         let set = self.l1i.set_of(addr);
         let slot = self.l1i.slot(set, way);
         let tick = self.tick;
-        self.l1i.lines[slot].last_use = tick;
+        let l = self.l1i.lines.get_mut(slot);
+        l.last_use = tick;
         let off = (addr & (LINE - 1)) as usize;
-        let d = &self.l1i.lines[slot].data;
+        let d = &l.data;
         let word = u32::from_le_bytes([d[off], d[off + 1], d[off + 2], d[off + 3]]);
         let tainted = self.taint.is_some_and(|t| {
             t.at(Level::L1i)
@@ -512,9 +590,10 @@ impl MemSystem {
         let set = self.l1d.set_of(addr);
         let slot = self.l1d.slot(set, way);
         let tick = self.tick;
-        self.l1d.lines[slot].last_use = tick;
+        let l = self.l1d.lines.get_mut(slot);
+        l.last_use = tick;
         let off = (addr & (LINE - 1)) as usize;
-        let d = &self.l1d.lines[slot].data;
+        let d = &l.data;
         let mut v = 0u64;
         for i in (0..len as usize).rev() {
             v = (v << 8) | d[off + i] as u64;
@@ -548,7 +627,7 @@ impl MemSystem {
         let set = self.l1d.set_of(addr);
         let slot = self.l1d.slot(set, way);
         let tick = self.tick;
-        let l = &mut self.l1d.lines[slot];
+        let l = self.l1d.lines.get_mut(slot);
         l.last_use = tick;
         l.dirty = true;
         let off = (addr & (LINE - 1)) as usize;
@@ -596,7 +675,7 @@ impl MemSystem {
             return (v, t);
         }
         for i in (0..len as usize).rev() {
-            v = (v << 8) | self.mem.byte(addr as usize + i) as u64;
+            v = (v << 8) | self.mem[addr as usize + i] as u64;
         }
         let t = self
             .taint
@@ -622,7 +701,7 @@ impl MemSystem {
         let byte = (bit_in_line / 8) as usize;
         let bit = (bit_in_line % 8) as u8;
         let slot = c.slot(set, way);
-        c.lines[slot].data[byte] ^= 1 << bit;
+        c.lines.get_mut(slot).data[byte] ^= 1 << bit;
         if !c.lines[slot].valid {
             return FlipResult {
                 valid: false,
@@ -855,5 +934,67 @@ mod tests {
         let cfg = CoreModel::A9.config();
         assert_eq!(ms.level_bits(Level::L1d), cfg.l1d.data_bits());
         assert_eq!(ms.level_bits(Level::L2), cfg.l2.data_bits());
+    }
+
+    /// Chunks and pages of `a` not shared with `b`, per array:
+    /// `[l1i, l1d, l2, mem]`.
+    fn unshared(a: &MemSystem, b: &MemSystem) -> [usize; 4] {
+        [
+            a.l1i.lines.unshared_chunks(&b.l1i.lines),
+            a.l1d.lines.unshared_chunks(&b.l1d.lines),
+            a.l2.lines.unshared_chunks(&b.l2.lines),
+            a.mem.unshared_chunks(&b.mem),
+        ]
+    }
+
+    #[test]
+    fn a_clone_shares_every_chunk() {
+        let mut ms = mk();
+        ms.store(A, 4, 0x1234);
+        ms.fetch_word(memmap::USER_TEXT);
+        let snap = ms.clone();
+        assert_eq!(unshared(&ms, &snap), [0; 4]);
+        assert!(ms == snap && ms.converged_with(&snap));
+    }
+
+    #[test]
+    fn one_store_copies_exactly_one_chunk() {
+        let mut ms = mk();
+        ms.store(A, 4, 0x1234);
+        let snap = ms.clone();
+        // An L1d hit: only the L1d chunk holding the line is written.
+        ms.store(A + 8, 4, 0x5678);
+        assert_eq!(unshared(&ms, &snap), [0, 1, 0, 0]);
+        assert_eq!(snap.peek(A + 8, 4).0, 0, "the clone kept its own line");
+        assert_eq!(ms.peek(A + 8, 4).0, 0x5678);
+    }
+
+    #[test]
+    fn unshared_equal_chunks_still_compare_equal() {
+        // Two hierarchies built apart share no allocation at all.
+        let (mut a, mut b) = (mk(), mk());
+        for ms in [&mut a, &mut b] {
+            ms.store(A, 4, 0xAB);
+            ms.load(A + 8192, 4);
+        }
+        let chunks = |ms: &MemSystem| {
+            [
+                ms.l1i.lines.chunks.len(),
+                ms.l1d.lines.chunks.len(),
+                ms.l2.lines.chunks.len(),
+                ms.mem.chunks.len(),
+            ]
+        };
+        assert_eq!(unshared(&a, &b), chunks(&a));
+        assert!(a == b && a.converged_with(&b));
+        // A flip is caught whether or not the arrays share chunks.
+        let shared = a.clone();
+        let bit = 5 * LINE as u64 * 8 + 3;
+        for golden in [&b, &shared] {
+            let mut faulty = a.clone();
+            faulty.flip_bit(Level::L2, bit);
+            faulty.taint = None;
+            assert!(faulty != *golden && !faulty.converged_with(golden));
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! propagation model (WD / WI / WOI / ESC) at the first *committed* use —
 //! the paper's HVF boundary.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use vulnstack_isa::{classify_bit, BitClass, Instr, Isa, Op, Reg, Trap, TrapCause};
 use vulnstack_kernel::kdata::{off, KStatus};
@@ -329,6 +329,11 @@ fn watchdog_cycles() -> u64 {
 
 type PReg = u16;
 
+/// Room for the architectural registers of either ISA in a branch's
+/// rename snapshot, which is a fixed array so dispatching a branch, and
+/// cloning a core with branches in flight, allocate nothing.
+const MAX_ARCH_REGS: usize = 32;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RobKind {
     Alu,
@@ -356,7 +361,7 @@ struct RobEntry {
     done: bool,
     exception: Option<Trap>,
     predicted_next: u64,
-    snapshot: Option<(Vec<PReg>, u64)>, // (RAT copy, free-list head)
+    snapshot: Option<([PReg; MAX_ARCH_REGS], u64)>, // (RAT copy, free-list head)
     lsq_slot: Option<usize>,
     mtsr_value: u64,
     taint: Option<Fpm>,
@@ -571,6 +576,10 @@ impl OooCore {
         let nregs = cfg.isa.num_regs() as usize;
         let nphys = cfg.phys_regs as usize;
         assert!(
+            nregs <= MAX_ARCH_REGS,
+            "branch snapshots hold {MAX_ARCH_REGS} registers"
+        );
+        assert!(
             nphys > nregs + 4,
             "need more physical than architectural registers"
         );
@@ -631,6 +640,32 @@ impl OooCore {
     /// core the checkpoint was taken from.
     pub fn from_checkpoint(checkpoint: &OooCore) -> OooCore {
         checkpoint.clone()
+    }
+
+    /// Heap bytes of this core's simulation state: the buffers of its
+    /// pipeline containers, by capacity, plus its memory hierarchy's
+    /// copy-on-write chunks counted as in `MemSystem::heap_bytes`.
+    /// Observer logs (fault and commit traces, ACE accounting, access
+    /// logs), which checkpoints never carry, are not counted.
+    pub(crate) fn heap_bytes(&self, seen: Option<&mut HashSet<usize>>) -> usize {
+        fn buf<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        buf(&self.bp)
+            + buf(&self.btb)
+            + buf(&self.ras)
+            + buf(&self.rat)
+            + buf(&self.rrat)
+            + buf(&self.free_ring)
+            + buf(&self.phys)
+            + buf(&self.phys_ready)
+            + buf(&self.iq)
+            + buf(&self.lq)
+            + buf(&self.sq)
+            + buf(&self.finish)
+            + self.fetch_queue.capacity() * size_of::<FetchedInstr>()
+            + self.rob.capacity() * size_of::<RobEntry>()
+            + self.mem.heap_bytes(seen)
     }
 
     /// Records the first `n` committed instructions (pc + decoded form)
@@ -1269,7 +1304,9 @@ impl OooCore {
             }
 
             if kind == RobKind::Branch || kind == RobKind::Jump {
-                entry.snapshot = Some((self.rat.clone(), self.free_head));
+                let mut rat = [0; MAX_ARCH_REGS];
+                rat[..self.rat.len()].copy_from_slice(&self.rat);
+                entry.snapshot = Some((rat, self.free_head));
             }
 
             // Rename sources (at most two architectural sources).
@@ -1668,11 +1705,9 @@ impl OooCore {
 
     fn recover_branch(&mut self, branch_seq: u64, target: u64) {
         let idx = self.rob_index(branch_seq).expect("branch in ROB");
-        let (rat, free_head) = self.rob[idx]
-            .snapshot
-            .clone()
-            .expect("branches carry snapshots");
-        self.rat = rat;
+        let (rat, free_head) = self.rob[idx].snapshot.expect("branches carry snapshots");
+        let nregs = self.rat.len();
+        self.rat.copy_from_slice(&rat[..nregs]);
         self.free_head = free_head;
         // The snapshot predates the branch's own destination rename
         // (CALL's link register): re-apply it.

@@ -12,14 +12,24 @@
 //! The store is **adaptive**: it starts from a small interval and, when
 //! the run outgrows the configured snapshot budget, drops every other
 //! snapshot and doubles the interval. Short runs therefore get fine
-//! spacing while long runs stay within a bounded memory footprint of
-//! `max_snapshots · bytes(core)` (≈ `max_snapshots` × (main memory +
-//! cache arrays + pipeline bookkeeping)).
+//! spacing while long runs keep at most `max_snapshots` snapshots.
+//!
+//! Cloning is cheap because main memory and the three cache arrays are
+//! copy-on-write: they are stored as reference-counted 4 KiB pages and
+//! 256-line chunks, a clone copies only the pointers, and a write copies
+//! just the page or chunk it lands in. Snapshots therefore share every
+//! page and chunk the run did not rewrite between them, and a restore
+//! copies pointers and the pipeline bookkeeping, not the 2 MiB of an
+//! A72's L2. [`CheckpointStore::resident_bytes`] counts what the store
+//! really holds: each snapshot's own state plus each shared page or
+//! chunk once.
 //!
 //! Determinism: the simulator draws on no external entropy and a
 //! checkpoint captures *all* of its state, so a restored core stepped to
 //! cycle `c` is field-by-field identical to a fresh core stepped to `c`
 //! (asserted by `checkpoint_equivalence` tests in `vulnstack-gefin`).
+
+use std::collections::HashSet;
 
 use vulnstack_kernel::SystemImage;
 
@@ -35,10 +45,11 @@ use crate::ooo::{OooCore, OooOutcome};
 /// power-of-two multiple of this constant).
 pub const DEFAULT_INTERVAL: u64 = 512;
 
-/// Default cap on retained snapshots. Snapshots share unmodified memory
-/// pages (the core's main memory is copy-on-write), so the marginal cost
-/// of a snapshot is the cache arrays plus pipeline bookkeeping, and a
-/// generous cap keeps restore deltas short.
+/// Default cap on retained snapshots. Snapshots share the memory pages
+/// and cache chunks the run did not rewrite between them, so the
+/// marginal cost of a snapshot is the pages and chunks written in one
+/// interval plus its pipeline bookkeeping, and a generous cap keeps
+/// restore deltas short.
 pub const DEFAULT_MAX_SNAPSHOTS: usize = 64;
 
 /// Evenly spaced fault-free core snapshots taken during a golden run.
@@ -119,6 +130,21 @@ impl CheckpointStore {
         self.snaps.len()
     }
 
+    /// Exact bytes the store holds: the snapshots themselves, their
+    /// pipeline buffers, and every memory page and cache chunk they
+    /// reference, each counted once by `Arc` pointer however many
+    /// snapshots share it.
+    pub fn resident_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        size_of::<Self>()
+            + self.snaps.capacity() * size_of::<OooCore>()
+            + self
+                .snaps
+                .iter()
+                .map(|s| s.heap_bytes(Some(&mut seen)))
+                .sum::<usize>()
+    }
+
     /// True if the store holds only the reset-state snapshot.
     pub fn is_empty(&self) -> bool {
         self.snaps.len() <= 1
@@ -164,6 +190,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Level;
     use crate::config::CoreModel;
     use crate::outcome::RunStatus;
     use vulnstack_compiler::{compile, CompileOpts};
@@ -238,5 +265,58 @@ mod tests {
         for (i, s) in store.snaps.iter().enumerate() {
             assert_eq!(s.cycle(), i as u64 * store.interval());
         }
+    }
+
+    #[test]
+    fn store_is_five_times_smaller_than_flat_copies() {
+        let img = image();
+        let cfg = CoreModel::A72.config();
+        let (store, _) = CheckpointStore::record(
+            &cfg,
+            &img,
+            DEFAULT_INTERVAL,
+            DEFAULT_MAX_SNAPSHOTS,
+            10_000_000,
+        );
+        // What the same snapshots would cost as deep copies.
+        let flat: usize = store
+            .snaps
+            .iter()
+            .map(|s| size_of::<OooCore>() + s.heap_bytes(None))
+            .sum();
+        let resident = store.resident_bytes();
+        assert!(store.len() >= 4, "{} snapshots", store.len());
+        assert!(
+            resident * 5 <= flat,
+            "store holds {resident} B for {} snapshots, flat copies {flat} B",
+            store.len()
+        );
+    }
+
+    #[test]
+    fn flips_on_a_restored_core_leave_its_checkpoint_intact() {
+        let img = image();
+        let cfg = CoreModel::A72.config();
+        let (store, _) = CheckpointStore::record(&cfg, &img, 256, 16, 10_000_000);
+        let at = 2 * store.interval();
+        let mut core = store.restore(at);
+        assert_eq!(core.cycle(), at);
+        // One bit in every cache array, then a stretch of run so that
+        // fills, writebacks and stores rewrite shared lines and pages.
+        let l2_bits = core.mem.level_bits(Level::L2);
+        for (level, bit) in [
+            (Level::L1i, 77),
+            (Level::L1d, 12_345),
+            (Level::L2, l2_bits / 3),
+        ] {
+            core.mem.flip_bit(level, bit);
+        }
+        assert!(core != *store.nearest(at), "the flips must change the core");
+        core.run_until(at + 1000);
+
+        let mut scratch = OooCore::new(&cfg, &img);
+        scratch.run_until(at);
+        assert!(*store.nearest(at) == scratch, "the checkpoint changed");
+        assert!(store.restore(at) == scratch, "a second restore diverged");
     }
 }
